@@ -313,6 +313,31 @@ def stack(tensors, axis=0):
     return out
 
 
+def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
+    """(T, T) lower-triangular decay matrix, M[t, s] = prod(alpha[s:t]) for
+    s <= t (ones on the diagonal), so M @ x runs the recurrence
+    out_0 = x_0, out_t = x_t + alpha[t-1] * out_{t-1} in one product.
+
+    Built from direct products, with no log or division, so zero and negative
+    alpha stay exact in the value and in the gradient
+    grad_alpha[j] = sum_{t,s} G[t, s] M[t, j+1] M[j, s] = diag(M G^T M, 1).
+    """
+    alpha = _as_tensor(alpha)
+    if alpha.shape != (max(t_len - 1, 0),):
+        raise ShapeError(f"decay_matrix needs T-1 = {t_len - 1} factors, got "
+                         f"{alpha.shape}")
+    factors = np.ones((t_len, t_len))
+    rows, cols = np.tril_indices(t_len, -1)
+    factors[rows, cols] = alpha.data[cols]
+    # row t holds alpha[0..t-1] then ones; a right-to-left running product
+    # gives prod(alpha[s:t]) at column s
+    m = np.tril(np.cumprod(factors[:, ::-1], axis=1)[:, ::-1])
+    out = _make(m, (alpha,), "decay_matrix")
+    if out.requires_grad:
+        out._backward = lambda g: alpha._accum(np.diagonal(m @ g.T @ m, offset=1))
+    return out
+
+
 # -- model nonlinearities -------------------------------------------------------
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -354,22 +379,33 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     return out
 
 
-def cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-probability of `target` under softmax(logits); 1-d logits."""
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Negative log-probability of `target` under softmax over the last axis.
+
+    1-d logits with an int target give a scalar; (n, K) logits with n targets
+    give one value per row.
+    """
     logits = _as_tensor(logits)
-    k = logits.data.shape[-1]
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-d logits, got {logits.shape}")
-    if not 0 <= target < k:
+    if logits.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy expects 1-d or 2-d logits, got "
+                         f"{logits.shape}")
+    k = logits.shape[-1]
+    target = np.asarray(target, dtype=np.intp)
+    if target.shape != logits.shape[:-1]:
+        raise ShapeError(f"targets {target.shape} do not match logits "
+                         f"{logits.shape}")
+    if np.any((target < 0) | (target >= k)):
         raise IndexError(f"target {target} out of range for {k} classes")
-    m = logits.data.max()
-    lse = m + np.log(np.exp(logits.data - m).sum())
-    out = _make(np.asarray(lse - logits.data[target]), (logits,), "cross_entropy")
+    onehot = np.arange(k) == target[..., None]
+    m = logits.data.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True))
+    out = _make((lse - logits.data)[onehot].reshape(target.shape), (logits,),
+                "cross_entropy")
     if out.requires_grad:
         p = np.exp(logits.data - lse)
         def back(g):
-            gl = p * g
-            gl[target] -= g
+            gl = p * g[..., None]
+            gl[onehot] -= g.reshape(-1)
             logits._accum(gl)
         out._backward = back
     return out
@@ -457,11 +493,6 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
     finally:
         CHECK_FINITE = prev_flag
         _DETACH_TAPE = prev_tape
-
-
-def zero_grads(params):
-    for p in params:
-        p.zero_grad()
 
 
 def frozen_choice(values: np.ndarray) -> np.ndarray:

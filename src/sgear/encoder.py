@@ -140,6 +140,18 @@ class FeatureAdapter:
         self._mu = Tensor(mu)
         self._inv_sigma = Tensor(1.0 / sigma)
 
+    def stats_arrays(self):
+        """The set statistics as named arrays, for checkpoints; empty if unset."""
+        if self._mu is None:
+            return {}
+        return {"mu": self._mu.data, "inv_sigma": self._inv_sigma.data}
+
+    def load_stats_arrays(self, arrays):
+        """Restore statistics saved by `stats_arrays`, bit for bit."""
+        if arrays:
+            self._mu = Tensor(arrays["mu"].copy())
+            self._inv_sigma = Tensor(arrays["inv_sigma"].copy())
+
     @staticmethod
     def stats_from_prototypes(protos: np.ndarray):
         """Channelwise mean/std over the K prototype rows."""

@@ -70,11 +70,11 @@ def late_fuse(weighted_sets):
     if not weighted_sets:
         raise EvalError("nothing to fuse")
     base, _ = weighted_sets[0]
-    index = {p.clip_id: p for p in base}
     k = len(base[0].scores)
-    for preds, _ in weighted_sets[1:]:
-        ids = {p.clip_id for p in preds}
-        missing = sorted(set(index) ^ ids)
+    # clip id -> its first prediction, one index per set
+    by_id = [{p.clip_id: p for p in reversed(preds)} for preds, _ in weighted_sets]
+    for (preds, _), ids in zip(weighted_sets[1:], by_id[1:]):
+        missing = sorted(by_id[0].keys() ^ ids.keys())
         if missing:
             raise EvalError(f"prediction sets disagree on clips: {missing[:10]}")
         if any(len(p.scores) != k for p in preds):
@@ -82,9 +82,8 @@ def late_fuse(weighted_sets):
     fused = []
     for p in base:
         acc = np.zeros(k)
-        for preds, weight in weighted_sets:
-            match = next(q for q in preds if q.clip_id == p.clip_id)
-            acc += weight * np.asarray(match.scores)
+        for ids, (_, weight) in zip(by_id, weighted_sets):
+            acc += weight * np.asarray(ids[p.clip_id].scores)
         total = acc.sum()
         if total <= 0:
             raise EvalError(f"clip {p.clip_id}: fused mass is not positive")

@@ -138,7 +138,8 @@ class SgearModel:
         return cls_causal
 
     def step_logits(self, z: Tensor):
-        """Route one decoder embedding through the classification head."""
+        """Route decoder embeddings, one (d,) or a stack (n, d), through the
+        classification head."""
         sub = self._subset_or_none()
         if self.use_cosine_head:
             z_hat = self.head.cosine_attention(z, self.visual_store.tensor,
@@ -164,51 +165,50 @@ class SgearModel:
 
         `past_labels`: optional length-T list, entry t the class of frame t or
         None; step t < T-1 predicts past_labels[t+1].
+
+        The labelled steps form the rows [T-1] + [t : past_labels[t+1] known]
+        (final step first, the rest in time order). The head and each loss run
+        once over all rows: `cls` is row 0's cross-entropy, `past` the sum over
+        the other rows, `sem` and `reg` means over all rows, and `feat` one
+        shifted squared error over every step.
         """
         t_len = self.config.frames
         sub = self._subset_or_none()
         merged = self.encode_merge(inputs)
         future = self.decoder.decode(merged)
 
-        logits_final, probs_final = self.step_logits(future[t_len - 1])
-        parts = {"cls": semantic.loss_cls(logits_final, target)}
-
-        # anticipation steps with a known label: final one plus labeled past
-        step_targets = [(t_len - 1, target)]
-        past_terms = []
+        steps, targets = [t_len - 1], [target]
         for t in range(t_len - 1):
             y_next = past_labels[t + 1] if past_labels else None
             if y_next is not None:
-                step_targets.append((t, y_next))
-                logits_t, _ = self.step_logits(future[t])
-                past_terms.append(semantic.loss_cls(logits_t, y_next))
-        parts["past"] = (sum(past_terms[1:], past_terms[0]) if past_terms
-                         else Tensor(np.asarray(0.0)))
+                steps.append(t)
+                targets.append(y_next)
+        z = future[np.asarray(steps)]
+        logits, probs = self.step_logits(z)
+        ce = semantic.loss_cls(logits, targets)
+        parts = {"cls": ce[0],
+                 "past": (ce[1:].sum() if len(steps) > 1
+                          else Tensor(np.asarray(0.0)))}
 
         # sem needs language targets; reg applies whenever prototypes are in
         # play (including the frozen language-as-visual ablation)
-        sem_terms, reg_terms = [], []
-        for t, y in step_targets:
-            if self.config.toggles.sem:
-                row = self.language_targets.row(y, subset=sub)
-                sem_terms.append(semantic.loss_sem(
-                    future[t], self.visual_store.tensor, row, subset=sub))
-            if self.use_cosine_head:
-                reg_terms.append(semantic.loss_reg(
-                    future[t], self.visual_store.tensor, y))
-        parts["sem"] = (sum(sem_terms[1:], sem_terms[0]) * (1.0 / len(sem_terms))
-                        if sem_terms else Tensor(np.asarray(0.0)))
-        parts["reg"] = (sum(reg_terms[1:], reg_terms[0]) * (1.0 / len(reg_terms))
-                        if reg_terms else Tensor(np.asarray(0.0)))
+        if self.config.toggles.sem:
+            rows = self.language_targets.row(targets, subset=sub)
+            parts["sem"] = semantic.loss_sem(z, self.visual_store.tensor, rows,
+                                             subset=sub)
+        else:
+            parts["sem"] = Tensor(np.asarray(0.0))
+        parts["reg"] = (semantic.loss_reg(z, self.visual_store.tensor, targets)
+                        if self.use_cosine_head else Tensor(np.asarray(0.0)))
 
         parts["feat"], feat_empty = semantic.loss_feat(future, merged)
         return {
             "merged": merged,
             "future": future,
-            "logits": logits_final,
-            "probs": probs_final,
+            "logits": logits[0],
+            "probs": probs[0],
             "parts": parts,
-            "past_empty": not past_terms,
+            "past_empty": len(steps) == 1,
             "feat_empty": feat_empty,
         }
 

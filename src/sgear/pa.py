@@ -30,15 +30,11 @@ def select_prototypes(sims: np.ndarray, k: int):
 
     Returns (per_frame lists, flat index array of length T*k in frame order).
     """
-    t_len, num_protos = sims.shape
+    num_protos = sims.shape[1]
     if not 1 <= k <= num_protos:
         raise ConfigError(f"k={k} must be in [1, {num_protos}]")
-    per_frame = []
-    for t in range(t_len):
-        order = np.argsort(-sims[t], kind="stable")   # stable: lower index wins ties
-        per_frame.append([int(i) for i in order[:k]])
-    flat = np.array([i for row in per_frame for i in row], dtype=np.intp)
-    return per_frame, flat
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]   # lower index wins ties
+    return top.tolist(), top.reshape(-1)
 
 
 def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:

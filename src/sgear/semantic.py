@@ -119,15 +119,17 @@ def choose_subset(num_classes, ratio, seed):
 
 
 def relative_repr(x: Tensor, protos: Tensor, subset=None) -> Tensor:
-    """Cosine similarities of `x` against (a subset of) the prototype rows,
-    differentiable through both arguments."""
-    if x.shape != (protos.shape[1],):
+    """Cosine similarities of each row of `x`, (d,) or (n, d), against (a
+    subset of) the prototype rows: (K',) or (n, K'), differentiable through
+    both arguments."""
+    d = protos.shape[1]
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
         raise ShapeError(f"embedding shape {x.shape} does not match prototype "
-                         f"dim {protos.shape[1]}")
+                         f"dim {d}")
     p = protos if subset is None else protos[np.asarray(subset, dtype=np.intp)]
-    xn = ((x * x).sum()) ** 0.5
+    xn = ((x * x).sum(axis=-1, keepdims=True)) ** 0.5
     pn = ((p * p).sum(axis=1)) ** 0.5
-    num = ad.matmul(p, x.reshape(-1, 1)).reshape(-1)
+    num = ad.matmul(x.reshape(-1, d), p.T).reshape(*x.shape[:-1], -1)
     return num / (xn * pn + 1e-8)
 
 
@@ -144,11 +146,13 @@ class LanguageTargets:
         self.matrix = (p @ p.T) / (norms * norms.T + 1e-8)
 
     def row(self, y, subset=None) -> Tensor:
-        if not 0 <= y < self.matrix.shape[0]:
+        """Row y, or one row per class when `y` is a sequence of classes."""
+        y = np.asarray(y, dtype=np.intp)
+        if np.any((y < 0) | (y >= self.matrix.shape[0])):
             raise IndexError(f"class {y} out of range")
         row = self.matrix[y]
         if subset is not None:
-            row = row[np.asarray(subset, dtype=np.intp)]
+            row = row[..., np.asarray(subset, dtype=np.intp)]
         return Tensor(row)
 
 
@@ -156,7 +160,8 @@ class LanguageTargets:
 
 class CosineHead:
     """Mix the decoder embedding with a similarity-weighted prototype
-    aggregate, then project to class logits."""
+    aggregate, then project to class logits. Every method takes one
+    embedding (d,) or a stack of them (n, d) and works row by row."""
 
     def __init__(self, d, num_classes, rng):
         self.alpha = Tensor(np.asarray(0.0), requires_grad=True)
@@ -167,7 +172,7 @@ class CosineHead:
         r = relative_repr(z, protos, subset=subset)
         p = protos if subset is None else protos[np.asarray(subset, dtype=np.intp)]
         weights = ad.softmax(r, axis=-1)
-        return ad.matmul(weights.reshape(1, -1), p).reshape(-1)
+        return ad.matmul(weights.reshape(-1, p.shape[0]), p).reshape(*z.shape)
 
     def cosine_attention(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:
         gate = ad.sigmoid(self.alpha)
@@ -199,7 +204,11 @@ class LinearHead:
 # -- losses ----------------------------------------------------------------------
 
 def loss_sem(z: Tensor, protos: Tensor, target_row: Tensor, subset=None) -> Tensor:
-    """Mean |r^z - r^enc(y)| with z detached: gradient reaches protos only."""
+    """Mean |r^z - r^enc(y)| with z detached: gradient reaches protos only.
+
+    z (n, d) takes (n, K') target rows; the mean runs over every entry, so it
+    is the mean over rows of each row's loss.
+    """
     r_z = relative_repr(z.detach(), protos, subset=subset)
     if r_z.shape != target_row.shape:
         raise ShapeError(f"relative reprs disagree: {r_z.shape} vs "
@@ -207,28 +216,30 @@ def loss_sem(z: Tensor, protos: Tensor, target_row: Tensor, subset=None) -> Tens
     return ad.l1_mean(r_z, target_row.detach())
 
 
-def loss_reg(z: Tensor, protos: Tensor, y: int) -> Tensor:
-    """Mean squared pull of z toward its own (detached) class prototype."""
-    if not 0 <= y < protos.shape[0]:
+def loss_reg(z: Tensor, protos: Tensor, y) -> Tensor:
+    """Mean squared pull of z toward its own (detached) class prototype; z
+    (n, d) takes n classes and averages over rows."""
+    y = np.asarray(y, dtype=np.intp)
+    if np.any((y < 0) | (y >= protos.shape[0])):
         raise IndexError(f"class {y} out of range")
     return ad.mse(z, protos[y].detach())
 
 
-def loss_cls(logits: Tensor, y: int) -> Tensor:
+def loss_cls(logits: Tensor, y) -> Tensor:
+    """Cross-entropy of class y; (n, K) logits take n classes and give one
+    value per row."""
     return ad.cross_entropy(logits, y)
 
 
 def loss_feat(future: Tensor, merged: Tensor):
-    """Sum over t of mse(z_t, detach(merged_{t+1})); 0 with a flag for T=1."""
-    t_len = future.shape[0]
+    """Sum over t < T-1 of mse(future_t, detach(merged_{t+1})), in one pass:
+    ((future[:-1] - merged[1:])^2).sum() / d. 0 with a flag for T=1."""
     if merged.shape != future.shape:
         raise ShapeError(f"future {future.shape} vs merged {merged.shape}")
+    t_len, d = future.shape
     if t_len < 2:
         return Tensor(np.asarray(0.0)), True
-    total = ad.mse(future[0], merged[1].detach())
-    for t in range(1, t_len - 1):
-        total = total + ad.mse(future[t], merged[t + 1].detach())
-    return total, False
+    return ((future[:-1] - merged.detach()[1:]) ** 2).sum() * (1.0 / d), False
 
 
 @dataclass(frozen=True)

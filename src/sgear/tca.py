@@ -16,17 +16,17 @@ from .errors import ConfigError, ShapeError
 
 
 def aggregate_kv(seq: Tensor, alpha: Tensor) -> Tensor:
-    """Recurrent accumulation along axis 0: out_0 = seq_0,
-    out_t = seq_t + alpha[t-1] * out_{t-1}.
+    """Decayed causal sum along axis 0, out_t = sum_{s<=t} prod(alpha[s:t]) seq_s,
+    i.e. the recurrence out_0 = seq_0, out_t = seq_t + alpha[t-1] * out_{t-1}.
+
+    Runs as one (T, T) decay-matrix product over the flattened trailing axes.
     """
     t_len = seq.shape[0]
     if alpha.shape != (max(t_len - 1, 0),):
         raise ConfigError(
             f"alpha must have length T-1 = {t_len - 1}, got {alpha.shape}")
-    acc = [seq[0]]
-    for t in range(1, t_len):
-        acc.append(seq[t] + alpha[t - 1] * acc[-1])
-    return ad.stack(acc, axis=0)
+    mixed = ad.matmul(ad.decay_matrix(alpha, t_len), seq.reshape(t_len, -1))
+    return mixed.reshape(seq.shape)
 
 
 class TcaBlock:

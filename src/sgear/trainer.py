@@ -12,6 +12,7 @@ import numpy as np
 
 from . import dataio
 from .autodiff import Tensor
+from .encoder import FeatureAdapter
 from .errors import ConfigError, FormatError, NumericError
 from .model import ModelConfig, SgearModel, Toggles, config_from_dict, config_to_dict
 from .semantic import LossWeights, ProtoStore
@@ -192,8 +193,10 @@ def load_dataset(manifest_path):
 
 # -- training loop ----------------------------------------------------------------
 
-def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr):
-    """One optimization step over a batch of clips (mean of per-clip losses).
+def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr,
+               grad_clip=None):
+    """One optimization step over a batch of clips (mean of per-clip losses),
+    with the global gradient norm clipped to `grad_clip` when it is set.
 
     Returns the per-part mean loss record as floats.
     """
@@ -217,14 +220,13 @@ def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr):
         raise NumericError("non-finite total loss")
     total.backward()
     if optimizer is not None:
-        _clip(params, model)
+        _clip(params, grad_clip)
         optimizer.step(lr)
     record["total"] = loss_value
     return record
 
 
-def _clip(params, model):
-    clip = getattr(model, "_grad_clip", None)
+def _clip(params, clip):
     if not clip:
         return
     norm = np.sqrt(sum(float((p.grad ** 2).sum())
@@ -242,7 +244,6 @@ def fit(model: SgearModel, clips, config: TrainConfig, log_every=0):
     Returns the history: one loss record per step.
     """
     weights = model.effective_weights(config.loss_weights)
-    model._grad_clip = config.grad_clip
     optimizer = build_optimizer(config.optimizer, model.parameters(), config)
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = max(1, int(np.ceil(len(clips) / config.batch_size)))
@@ -255,7 +256,8 @@ def fit(model: SgearModel, clips, config: TrainConfig, log_every=0):
         for start in range(0, len(clips), config.batch_size):
             batch = [clips[i] for i in order[start:start + config.batch_size]]
             lr = lr_at(step, config.lr, warmup_steps, total_steps)
-            record = train_step(batch, model, weights, optimizer, lr)
+            record = train_step(batch, model, weights, optimizer, lr,
+                                grad_clip=config.grad_clip)
             record["lr"] = lr
             record["step"] = step
             history.append(record)
@@ -304,6 +306,9 @@ def save_checkpoint(path, model: SgearModel, optimizer=None, step=0):
         arrays["store.visual"] = model.visual_store.tensor.data
     if model.language_store is not None:
         arrays["store.language"] = model.language_store.tensor.data
+    if isinstance(model.encoder, FeatureAdapter):
+        for name, arr in model.encoder.stats_arrays().items():
+            arrays[f"adapter.{name}"] = arr
     if optimizer is not None:
         for name, arr in sorted(optimizer.state_arrays().items()):
             arrays[f"opt.{name}"] = np.asarray(arr)
@@ -331,21 +336,30 @@ def load_checkpoint(path):
     Returns (model, opt_arrays, step).
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = dataio._read_exact(fh, 4, 0, "magic")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-        version, hlen = struct.unpack("<II", fh.read(8))
+        version, hlen = struct.unpack(
+            "<II", dataio._read_exact(fh, 8, 4, "header length"))
         if version != 1:
             raise FormatError(f"unsupported checkpoint version {version}",
                               offset=4)
-        header = json.loads(fh.read(hlen).decode())
+        blob = dataio._read_exact(fh, hlen, 12, "header")
+        try:
+            header = json.loads(blob.decode())
+        except ValueError as exc:      # bad JSON or bad UTF-8
+            raise FormatError(f"unreadable checkpoint header: {exc}",
+                              offset=12) from exc
         arrays = {}
+        offset = 12 + hlen
         for entry in header["arrays"]:
             dtype = np.dtype(entry["dtype"])
             count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(count * dtype.itemsize)
+            buf = dataio._read_exact(fh, count * dtype.itemsize, offset,
+                                     f"array '{entry['name']}'")
             arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
                 entry["shape"])
+            offset += len(buf)
 
     config = config_from_dict(header["config"])
     language_store = None
@@ -360,6 +374,10 @@ def load_checkpoint(path):
             frozen=bool(header["visual_frozen"]))
     model = SgearModel(config, visual_store=visual_store,
                        language_store=language_store)
+    if isinstance(model.encoder, FeatureAdapter):
+        model.encoder.load_stats_arrays(
+            {k[len("adapter."):]: v for k, v in arrays.items()
+             if k.startswith("adapter.")})
     params = model.parameters()
     for name, arr in arrays.items():
         if name.startswith("param."):

@@ -74,6 +74,24 @@ class TestCommands:
             assert (out / name).exists()
 
 
+class TestAdapterRun:
+    def test_single_token_train_then_eval(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--classes", "4", "--frames",
+                     "3", "--dim", "8", "--clips", "8", "--tokens", "1",
+                     "--seed", "2"]) == 0
+        ckpt = tmp_path / "adapter.sgck"
+        assert main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(data / "language_prototypes.sglp"),
+                     "--checkpoint", str(ckpt), "--preset", "desk",
+                     "--epochs", "1", "--setting", "4"]) == 0
+        csv_out = tmp_path / "metrics.csv"
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(data / "manifest.jsonl"),
+                     "--csv-out", str(csv_out)]) == 0
+        assert csv_out.exists()
+
+
 class TestExitCodes:
     def test_config_error_is_2(self, workspace):
         root, data, ckpt = workspace

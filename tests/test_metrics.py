@@ -138,6 +138,22 @@ class TestLateFuse:
         with pytest.raises(EvalError, match="disagree"):
             late_fuse([(a, 1.0), (b, 1.0)])
 
+    def test_class_count_mismatch(self):
+        a = [Prediction("x", np.array([1.0, 0.0]), 0)]
+        b = [Prediction("x", np.array([0.5, 0.25, 0.25]), 0)]
+        with pytest.raises(EvalError, match="class count"):
+            late_fuse([(a, 1.0), (b, 1.0)])
+
+    def test_set_order_does_not_change_output(self):
+        rng = np.random.default_rng(5)
+        a, b, c = (random_preds(rng, n=9) for _ in range(3))
+        want = late_fuse([(a, 2.5), (b, 1.5), (c, 1.0)])
+        shuffled = [[s[i] for i in rng.permutation(len(s))] for s in (b, c)]
+        got = late_fuse([(a, 2.5), (shuffled[0], 1.5), (shuffled[1], 1.0)])
+        assert [p.clip_id for p in got] == [p.clip_id for p in want]
+        for p, q in zip(got, want):
+            assert np.array_equal(p.scores, q.scores) and p.truth == q.truth
+
     def test_presets_golden(self):
         assert ENSEMBLE_PRESETS["ek100"] == [2.5, 1.5, 1.0, 1.0, 0.5]
         assert ENSEMBLE_PRESETS["ek55"] == [1.5, 1.5, 1.5, 1.0, 1.0]

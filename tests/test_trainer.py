@@ -1,5 +1,8 @@
 """Schedules, optimizers, presets, the training loop and checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,58 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
         assert exc.value.offset == 0
+
+    def test_truncated_prefixes_raise_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model, step=1)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        # every length through the header, then each array boundary +-1
+        cuts = set(range(12 + hlen + 1))
+        offset = 12 + hlen
+        for entry in json.loads(data[12:12 + hlen])["arrays"]:
+            offset += (int(np.prod(entry["shape"]))
+                       * np.dtype(entry["dtype"]).itemsize)
+            cuts.update((offset - 1, offset, offset + 1))
+        assert offset == len(data)
+        cut = tmp_path / "cut.sgck"
+        for n in sorted(c for c in cuts if c < len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(FormatError):
+                load_checkpoint(cut)
+
+    def test_corrupt_header_is_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, tiny_model(manifest_path, proto_path))
+        data = bytearray(path.read_bytes())
+        for bad in (b"\xff", b"]"):
+            data[12:13] = bad
+            path.write_bytes(bytes(data))
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert exc.value.offset == 12
+
+    def test_adapter_statistics_survive(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        lang = ProtoStore.load(proto_path, kind="language")
+        config = ModelConfig(
+            num_classes=K, frames=T, d=D,
+            encoder=EncoderConfig(mode="adapter", d=D),
+            decoder=DecoderConfig(d=D, layers=1, heads=2, mlp_hidden=16,
+                                  max_len=T),
+            toggles=TABLE3_SETTINGS["4"])
+        model = SgearModel(config, language_store=lang)
+        rng = np.random.default_rng(1)
+        model.encoder.set_prototype_stats(rng.normal(size=D),
+                                          rng.uniform(0.5, 2.0, size=D))
+        path = tmp_path / "adapter.sgck"
+        save_checkpoint(path, model)
+        back, _, _ = load_checkpoint(path)
+        x = rng.normal(size=(T, 1, D))
+        assert np.array_equal(model.predict(x), back.predict(x))
 
     def test_frozen_flag_survives(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path)
