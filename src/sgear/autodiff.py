@@ -9,6 +9,8 @@ runs in double precision by default so finite-difference verification
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import erf as _erf
 
@@ -17,6 +19,10 @@ from .errors import NumericError, ShapeError
 # When enabled, every op validates its output for NaN/Inf and raises
 # NumericError naming the op. grad_check switches it on.
 CHECK_FINITE = False
+
+# Cleared inside `no_grad()`: ops then record no graph (no `_prev`, no
+# backward closures), which is all inference needs.
+_GRAD_ENABLED = True
 
 # Optional detach tape used by grad_check: values passing through detach()
 # are captured on the reference evaluation and replayed verbatim during the
@@ -33,6 +39,19 @@ class _DetachTape:
     def replay_from_start(self):
         self.mode = "replay"
         self.cursor = 0
+
+
+@contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block; the previous setting comes
+    back on exit, also when the block raises."""
+    global _GRAD_ENABLED
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
+
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -196,9 +215,20 @@ class Tensor:
             out._backward = lambda g: self._accum(g.transpose(inv))
         return out
 
+    def swapaxes(self, a, b):
+        """Exchange axes a and b; swapping an axis with itself returns self."""
+        axes = list(range(self.ndim))
+        axes[a], axes[b] = axes[b], axes[a]
+        return self if axes[a] == axes[b] else self.transpose(*axes)
+
     @property
     def T(self):
         return self.transpose()
+
+    @property
+    def mT(self):
+        """Transpose of the last two axes, batch axes kept."""
+        return self.swapaxes(-1, -2)
 
     def __getitem__(self, idx):
         out = _make(self.data[idx], (self,), "getitem")
@@ -259,7 +289,7 @@ def _as_tensor(x):
 
 def _make(data, prev, name):
     out = Tensor(_finite(name, data))
-    out.requires_grad = any(p.requires_grad for p in prev)
+    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in prev)
     if out.requires_grad:
         out._prev = tuple(prev)
     return out

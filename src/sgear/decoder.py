@@ -45,11 +45,12 @@ class CausalDecoder:
         return self.pos[idx]
 
     def decode(self, merged: Tensor) -> Tensor:
-        """(T, d) -> (T, d); output t depends only on inputs 0..t."""
-        if merged.ndim != 2 or merged.shape[1] != self.config.d:
+        """(..., T, d) -> (..., T, d); output t depends only on inputs 0..t
+        of its own clip."""
+        if merged.ndim < 2 or merged.shape[-1] != self.config.d:
             raise ShapeError(
-                f"decoder expects (T, {self.config.d}), got {merged.shape}")
-        x = merged + self._positions(merged.shape[0])
+                f"decoder expects (..., T, {self.config.d}), got {merged.shape}")
+        x = merged + self._positions(merged.shape[-2])
         for block in self.blocks:
             x = block(x)
         return x
@@ -58,7 +59,8 @@ class CausalDecoder:
 
     def rollout(self, merged: Tensor, n_steps: int) -> Tensor:
         """Extend the horizon by feeding each last prediction back as the next
-        input feature. Returns the decoded sequence of length T + n_steps."""
+        input feature. Returns the decoded sequence of length T + n_steps
+        along the time axis (-2)."""
         if n_steps < 0:
             raise ConfigError("n_steps must be >= 0")
         if n_steps > self.config.max_rollout_steps:
@@ -68,8 +70,7 @@ class CausalDecoder:
         x = merged
         future = self.decode(x)
         for _ in range(n_steps):
-            last = future[future.shape[0] - 1].reshape(1, -1)
-            x = ad.concat([x, last], axis=0)
+            x = ad.concat([x, future[..., -1:, :]], axis=-2)
             future = self.decode(x)
         return future
 

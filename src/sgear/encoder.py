@@ -1,6 +1,6 @@
 """Per-frame visual encoders producing the token streams the model consumes.
 
-Three modes:
+Three modes, each taking one clip or a batch of clips on leading axes:
 
 * ``vit-lite``  -- tiny ViT over raw (grayscale) frames: patch embedding,
   learnable positional encodings, a prepended learnable class token and a
@@ -26,14 +26,15 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class ClipFeatures:
-    """(T, tokens, d) token tensor; token 0 of each frame is the class token."""
+    """(..., T, tokens, d) token tensor, one clip per leading index; token 0
+    of each frame is the class token."""
 
     tokens: Tensor
 
     @property
     def cls_view(self) -> Tensor:
-        """The class-token stream, shape (T, d)."""
-        return self.tokens[:, 0, :]
+        """The class-token stream, shape (..., T, d)."""
+        return self.tokens[..., 0, :]
 
     @property
     def shape(self):
@@ -101,9 +102,14 @@ class VitLiteEncoder:
         return x
 
     def __call__(self, frames) -> ClipFeatures:
-        """frames: iterable of (H, W) arrays -> (T, P+1, d) tokens."""
-        per_frame = [self.encode_frame(f) for f in frames]
-        return ClipFeatures(ad.stack(per_frame, axis=0))
+        """frames: (..., T, H, W), e.g. a list of (H, W) arrays for one clip
+        -> (..., T, P+1, d) tokens; every frame of every clip is encoded on
+        its own."""
+        frames = np.asarray(frames, dtype=np.float64)
+        per_frame = [self.encode_frame(f)
+                     for f in frames.reshape(-1, *frames.shape[-2:])]
+        tokens = ad.stack(per_frame, axis=0)
+        return ClipFeatures(tokens.reshape(*frames.shape[:-2], *tokens.shape[1:]))
 
     def parameters(self):
         params = nn.merge_params(
@@ -163,15 +169,14 @@ class FeatureAdapter:
                 "adapter needs visual-prototype statistics; call "
                 "set_prototype_stats first")
         x = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats))
-        if x.ndim == 3:
-            if x.shape[1] != 1:
-                raise ShapeError("adapter features must have a single token")
-            x = x[:, 0, :]
-        if x.ndim != 2 or x.shape[1] != self.config.d:
-            raise ShapeError(f"adapter expects (T, {self.config.d}), got {x.shape}")
-        t = x.shape[0]
-        out = (self.lin(x) - self._mu) * self._inv_sigma
-        return ClipFeatures(out.reshape(t, 1, self.config.d))
+        if x.ndim == 2:                       # (T, d): one clip, one token
+            x = x.reshape(x.shape[0], 1, x.shape[1])
+        if x.ndim < 3 or x.shape[-1] != self.config.d:
+            raise ShapeError(f"adapter expects (..., T, 1, {self.config.d}) or "
+                             f"(T, {self.config.d}), got {x.shape}")
+        if x.shape[-2] != 1:
+            raise ShapeError("adapter features must have a single token")
+        return ClipFeatures((self.lin(x) - self._mu) * self._inv_sigma)
 
     def parameters(self):
         return nn.prefixed("lin", self.lin.parameters())
@@ -189,13 +194,13 @@ class PassthroughEncoder:
         self.lin.w.data += np.eye(config.d)
 
     def __call__(self, feats) -> ClipFeatures:
+        """(..., T, tokens, d) -> the same shape."""
         x = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats))
-        if x.ndim != 3 or x.shape[2] != self.config.d:
+        if x.ndim < 3 or x.shape[-1] != self.config.d:
             raise ShapeError(
-                f"passthrough expects (T, tokens, {self.config.d}), got {x.shape}")
-        t, tokens, d = x.shape
-        out = self.lin(x.reshape(t * tokens, d)).reshape(t, tokens, d)
-        return ClipFeatures(out)
+                f"passthrough expects (..., T, tokens, {self.config.d}), got "
+                f"{x.shape}")
+        return ClipFeatures(self.lin(x))
 
     def parameters(self):
         return nn.prefixed("lin", self.lin.parameters())

@@ -125,12 +125,12 @@ class SgearModel:
 
     def encode_merge(self, inputs):
         """Run encoder, temporal aggregation and prototype attention;
-        returns the (T, d) merged stream."""
+        returns the (..., T, d) merged stream, one per clip."""
         feats = inputs if isinstance(inputs, ClipFeatures) else self.encoder(inputs)
-        if feats.shape[0] != self.config.frames:
+        if feats.shape[-3] != self.config.frames:
             raise ShapeError(f"model sized for T={self.config.frames}, got "
-                             f"T={feats.shape[0]}")
-        cls_causal = (self.tca(feats.tokens)[:, 0, :] if self.tca is not None
+                             f"T={feats.shape[-3]}")
+        cls_causal = (self.tca(feats.tokens)[..., 0, :] if self.tca is not None
                       else feats.cls_view)
         if self.pa is not None:
             fused, _ = self.pa(feats.cls_view, self.visual_store.tensor)
@@ -161,73 +161,84 @@ class SgearModel:
     # -- training forward ------------------------------------------------------
 
     def forward(self, inputs, target, past_labels=None):
-        """Full forward pass with all loss parts.
+        """Full forward pass with all loss parts, for one clip or a batch.
 
-        `past_labels`: optional length-T list, entry t the class of frame t or
-        None; step t < T-1 predicts past_labels[t+1].
+        One clip: `target` is its class and `past_labels` an optional length-T
+        list, entry t the class of frame t or None; step t < T-1 predicts
+        past_labels[t+1]. A batch of B clips: `inputs` gains a leading clip
+        axis, `target` is a sequence of B classes and `past_labels` None or B
+        such lists (each may be None). The batch builds one graph.
 
-        The labelled steps form the rows [T-1] + [t : past_labels[t+1] known]
-        (final step first, the rest in time order). The head and each loss run
-        once over all rows: `cls` is row 0's cross-entropy, `past` the sum over
-        the other rows, `sem` and `reg` means over all rows, and `feat` one
-        shifted squared error over every step.
+        The labelled steps form rows: each clip's final step T-1 first, then
+        the (clip, t) with past_labels[t+1] known, in order. The head and each
+        loss run once over all rows. Per clip, `cls` is its final row's
+        cross-entropy, `past` the sum over its other rows, `sem` and `reg`
+        means over its rows and `feat` one shifted squared error over its
+        steps: scalars for one clip, (B,) vectors for a batch.
         """
+        batched = np.ndim(target) == 1
+        targets = list(target) if batched else [target]
+        if not batched:
+            past_labels = [past_labels]
+        elif past_labels is None:
+            past_labels = [None] * len(targets)
         t_len = self.config.frames
+        rows = [(b, t_len - 1, y) for b, y in enumerate(targets)]
+        rows += [(b, t, past[t + 1]) for b, past in enumerate(past_labels) if past
+                 for t in range(t_len - 1) if past[t + 1] is not None]
+        clip, step, labels = (np.array(col) for col in zip(*rows))
+        # (B, n) row ownership; one clip drops the clip axis throughout
+        own = clip == np.arange(len(targets))[:, None]
+        final = np.arange(len(targets))
+        if not batched:
+            own, final = own[0], 0
+        past_rows = own & (np.arange(len(rows)) >= len(targets))
+        pool = own / own.sum(axis=-1, keepdims=True)
+        no_part = Tensor(np.zeros(np.shape(final)))
+
         sub = self._subset_or_none()
         merged = self.encode_merge(inputs)
         future = self.decoder.decode(merged)
-
-        steps, targets = [t_len - 1], [target]
-        for t in range(t_len - 1):
-            y_next = past_labels[t + 1] if past_labels else None
-            if y_next is not None:
-                steps.append(t)
-                targets.append(y_next)
-        z = future[np.asarray(steps)]
+        z = future[(clip, step) if batched else step]
         logits, probs = self.step_logits(z)
-        ce = semantic.loss_cls(logits, targets)
-        parts = {"cls": ce[0],
-                 "past": (ce[1:].sum() if len(steps) > 1
-                          else Tensor(np.asarray(0.0)))}
+        ce = semantic.loss_cls(logits, labels)
+        parts = {"cls": ce[final], "past": (ce * past_rows).sum(axis=-1)}
 
         # sem needs language targets; reg applies whenever prototypes are in
         # play (including the frozen language-as-visual ablation)
-        if self.config.toggles.sem:
-            rows = self.language_targets.row(targets, subset=sub)
-            parts["sem"] = semantic.loss_sem(z, self.visual_store.tensor, rows,
-                                             subset=sub)
-        else:
-            parts["sem"] = Tensor(np.asarray(0.0))
-        parts["reg"] = (semantic.loss_reg(z, self.visual_store.tensor, targets)
-                        if self.use_cosine_head else Tensor(np.asarray(0.0)))
-
+        protos = self.visual_store.tensor if self.use_cosine_head else None
+        parts["sem"] = (semantic.loss_sem(
+            z, protos, self.language_targets.row(labels, subset=sub),
+            subset=sub, pool=pool) if self.config.toggles.sem else no_part)
+        parts["reg"] = (semantic.loss_reg(z, protos, labels, pool=pool)
+                        if self.use_cosine_head else no_part)
         parts["feat"], feat_empty = semantic.loss_feat(future, merged)
         return {
             "merged": merged,
             "future": future,
-            "logits": logits[0],
-            "probs": probs[0],
+            "logits": logits[final],
+            "probs": probs[final],
             "parts": parts,
-            "past_empty": len(steps) == 1,
+            "past_empty": ~past_rows.any(axis=-1),
             "feat_empty": feat_empty,
         }
 
     def total_loss(self, inputs, target, weights: LossWeights, past_labels=None):
+        """`forward` plus the weighted loss; a batch's loss is the mean of its
+        clips' losses."""
         out = self.forward(inputs, target, past_labels=past_labels)
-        out["loss"] = semantic.total_loss(out["parts"], weights)
+        loss = semantic.total_loss(out["parts"], weights)
+        out["loss"] = loss.mean() if loss.ndim else loss
         return out
 
     # -- inference ----------------------------------------------------------------
 
     def predict(self, inputs, n_steps=0) -> np.ndarray:
         """Class probabilities for one clip; n_steps > 0 rolls the decoder
-        forward autoregressively before classifying."""
-        merged = self.encode_merge(inputs)
-        if n_steps == 0:
-            future = self.decoder.decode(merged)
-        else:
-            future = self.decoder.rollout(merged, n_steps)
-        return self.step_probs(future[future.shape[0] - 1])
+        forward autoregressively before classifying. Builds no graph."""
+        with ad.no_grad():
+            future = self.decoder.rollout(self.encode_merge(inputs), n_steps)
+            return self.step_probs(future[-1])
 
     # -- registry ------------------------------------------------------------------
 

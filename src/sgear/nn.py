@@ -78,19 +78,20 @@ class Mlp:
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(N, d) -> (heads, N, d/heads)."""
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    """(..., N, d) -> (..., heads, N, d/heads)."""
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
 
 
 def join_heads(x: Tensor) -> Tensor:
-    """(heads, N, dh) -> (N, heads*dh)."""
-    h, n, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * dh)
+    """(..., heads, N, dh) -> (..., N, heads*dh)."""
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
 class SelfAttention:
-    """Multi-head self-attention over one token sequence, optionally causal."""
+    """Multi-head self-attention over token sequences (..., N, d), optionally
+    causal; leading axes are independent sequences."""
 
     def __init__(self, dim, heads, rng, causal=False):
         if dim % heads != 0:
@@ -104,13 +105,13 @@ class SelfAttention:
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ShapeError(f"attention expects (N, {self.dim}), got {x.shape}")
-        n = x.shape[0]
+        if x.ndim < 2 or x.shape[-1] != self.dim:
+            raise ShapeError(f"attention expects (..., N, {self.dim}), got {x.shape}")
+        n = x.shape[-2]
         q = split_heads(self.wq(x), self.heads)
         k = split_heads(self.wk(x), self.heads)
         v = split_heads(self.wv(x), self.heads)
-        scores = ad.matmul(q, k.transpose(0, 2, 1)) * (1.0 / np.sqrt(self.dim))
+        scores = ad.matmul(q, k.mT) * (1.0 / np.sqrt(self.dim))
         if self.causal:
             mask = np.triu(np.full((n, n), -1e30), k=1)
             scores = scores + Tensor(mask)

@@ -13,7 +13,7 @@ from .errors import ConfigError, ShapeError
 
 
 def frame_relative_repr(cls_stream, protos) -> np.ndarray:
-    """(T, K) cosine similarities of each frame's class token against the
+    """(..., T, K) cosine similarities of each frame's class token against the
     prototype rows. Selection is discrete, so this runs outside the tape."""
     x = cls_stream.data if isinstance(cls_stream, Tensor) else np.asarray(cls_stream)
     p = protos.data if isinstance(protos, Tensor) else np.asarray(protos)
@@ -26,15 +26,16 @@ def frame_relative_repr(cls_stream, protos) -> np.ndarray:
 
 
 def select_prototypes(sims: np.ndarray, k: int):
-    """Top-k prototype indices per frame, ties broken by lower index.
+    """Top-k prototype indices per frame of (..., T, K) similarities, ties
+    broken by lower index.
 
-    Returns (per_frame lists, flat index array of length T*k in frame order).
+    Returns (per_frame lists, (..., T*k) index array in frame order).
     """
-    num_protos = sims.shape[1]
+    num_protos = sims.shape[-1]
     if not 1 <= k <= num_protos:
         raise ConfigError(f"k={k} must be in [1, {num_protos}]")
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :k]   # lower index wins ties
-    return top.tolist(), top.reshape(-1)
+    top = np.argsort(-sims, axis=-1, kind="stable")[..., :k]   # lower index wins ties
+    return top.tolist(), top.reshape(*top.shape[:-2], -1)
 
 
 def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:
@@ -59,13 +60,13 @@ def pa_fuse(queries: Tensor, keys: Tensor, values: Tensor, delta: Tensor,
     """
     if queries.shape[-1] != keys.shape[-1]:
         raise ShapeError(f"query dim {queries.shape} vs key dim {keys.shape}")
-    if keys.shape[0] != values.shape[0]:
+    if keys.shape[-2] != values.shape[-2]:
         raise ShapeError("keys and values must have the same sequence length")
     d = queries.shape[-1]
     div = float(d) if scale == "d" else float(np.sqrt(d))
     if scale not in ("d", "sqrt_d"):
         raise ConfigError(f"unknown pa scale '{scale}'")
-    scores = ad.matmul(queries, keys.T) * (1.0 / div)
+    scores = ad.matmul(queries, keys.mT) * (1.0 / div)
     gate = ad.sigmoid(beta)
     mixed = gate * ad.softmax(scores, axis=-1) + (1.0 - gate) * delta
     return ad.matmul(mixed, values)
@@ -103,17 +104,18 @@ class PaBlock:
         self.lam = Tensor(np.asarray(0.0), requires_grad=True)
 
     def __call__(self, cls_stream: Tensor, protos: Tensor):
-        """cls_stream: (T, d) raw class tokens; protos: (K, d).
+        """cls_stream: (..., T, d) raw class tokens; protos: (K, d).
 
-        Returns (fused (T, d), per-frame selected index lists).
+        Returns (fused (..., T, d), per-frame selected index lists).
         """
-        if cls_stream.shape != (self.frames, self.dim):
-            raise ShapeError(
-                f"PA expects ({self.frames}, {self.dim}), got {cls_stream.shape}")
+        if cls_stream.shape[-2:] != (self.frames, self.dim):
+            raise ShapeError(f"PA expects (..., {self.frames}, {self.dim}), got "
+                             f"{cls_stream.shape}")
         sims = frame_relative_repr(cls_stream, protos)
         per_frame, flat = select_prototypes(sims, self.k)
         flat = ad.frozen_choice(flat)     # held fixed under grad_check probes
-        selected = protos[flat]                       # (m, d), frame order
+        selected = protos[flat]                       # (..., m, d), frame order
+        # one Toeplitz matrix, shared by every clip
         delta = build_toeplitz(self.toe_weights, self.frames, self.m)
         fused = pa_fuse(self.wq(cls_stream), self.wk(selected),
                         self.wv(selected), delta, self.beta, scale=self.scale)

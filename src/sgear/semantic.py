@@ -203,26 +203,43 @@ class LinearHead:
 
 # -- losses ----------------------------------------------------------------------
 
-def loss_sem(z: Tensor, protos: Tensor, target_row: Tensor, subset=None) -> Tensor:
+def _pooled(entries: Tensor, pool=None) -> Tensor:
+    """Row means of (n, m) `entries` (a 1-d `entries` is one row), averaged
+    over the rows with weights `pool`: (n,) weights give a scalar, (B, n)
+    weights one value per clip. No `pool` weighs every row 1/n."""
+    if pool is None:
+        rows = entries.shape[0] if entries.ndim > 1 else 1
+        pool = np.full(rows, 1.0 / rows)
+    pool = np.asarray(pool, dtype=np.float64) / entries.shape[-1]
+    return (entries * pool[..., None]).sum(axis=(-2, -1))
+
+
+def loss_sem(z: Tensor, protos: Tensor, target_row: Tensor, subset=None,
+             pool=None) -> Tensor:
     """Mean |r^z - r^enc(y)| with z detached: gradient reaches protos only.
 
     z (n, d) takes (n, K') target rows; the mean runs over every entry, so it
-    is the mean over rows of each row's loss.
+    is the mean over rows of each row's loss. With `pool` (see `_pooled`) the
+    rows are averaged with its weights, e.g. per clip.
     """
     r_z = relative_repr(z.detach(), protos, subset=subset)
     if r_z.shape != target_row.shape:
         raise ShapeError(f"relative reprs disagree: {r_z.shape} vs "
                          f"{target_row.shape}")
-    return ad.l1_mean(r_z, target_row.detach())
+    return _pooled((r_z - target_row.detach()).abs(), pool)
 
 
-def loss_reg(z: Tensor, protos: Tensor, y) -> Tensor:
+def loss_reg(z: Tensor, protos: Tensor, y, pool=None) -> Tensor:
     """Mean squared pull of z toward its own (detached) class prototype; z
-    (n, d) takes n classes and averages over rows."""
+    (n, d) takes n classes and averages over rows, or over them with the
+    weights `pool` (see `_pooled`)."""
     y = np.asarray(y, dtype=np.intp)
     if np.any((y < 0) | (y >= protos.shape[0])):
         raise IndexError(f"class {y} out of range")
-    return ad.mse(z, protos[y].detach())
+    target = protos[y].detach()
+    if z.shape != target.shape:
+        raise ShapeError(f"loss_reg: z {z.shape} vs prototypes {target.shape}")
+    return _pooled((z - target) ** 2, pool)
 
 
 def loss_cls(logits: Tensor, y) -> Tensor:
@@ -233,13 +250,16 @@ def loss_cls(logits: Tensor, y) -> Tensor:
 
 def loss_feat(future: Tensor, merged: Tensor):
     """Sum over t < T-1 of mse(future_t, detach(merged_{t+1})), in one pass:
-    ((future[:-1] - merged[1:])^2).sum() / d. 0 with a flag for T=1."""
+    ((future[:-1] - merged[1:])^2).sum() / d. 0 with a flag for T=1.
+
+    (..., T, d) streams give one value per leading index (per clip)."""
     if merged.shape != future.shape:
         raise ShapeError(f"future {future.shape} vs merged {merged.shape}")
-    t_len, d = future.shape
+    *lead, t_len, d = future.shape
     if t_len < 2:
-        return Tensor(np.asarray(0.0)), True
-    return ((future[:-1] - merged.detach()[1:]) ** 2).sum() * (1.0 / d), False
+        return Tensor(np.zeros(lead)), True
+    sq = (future[..., :-1, :] - merged.detach()[..., 1:, :]) ** 2
+    return sq.sum(axis=(-2, -1)) * (1.0 / d), False
 
 
 @dataclass(frozen=True)
@@ -256,7 +276,8 @@ class LossWeights:
 
 
 def total_loss(parts: dict, weights: LossWeights) -> Tensor:
-    """Weighted sum of the five loss parts; every part must be present."""
+    """Weighted sum of the five loss parts; every part must be present.
+    Per-clip (B,) parts give per-clip (B,) totals."""
     wd = weights.as_dict()
     missing = set(wd) - set(parts)
     if missing:

@@ -19,7 +19,8 @@ def aggregate_kv(seq: Tensor, alpha: Tensor) -> Tensor:
     """Decayed causal sum along axis 0, out_t = sum_{s<=t} prod(alpha[s:t]) seq_s,
     i.e. the recurrence out_0 = seq_0, out_t = seq_t + alpha[t-1] * out_{t-1}.
 
-    Runs as one (T, T) decay-matrix product over the flattened trailing axes.
+    Runs as one (T, T) decay-matrix product over the flattened trailing axes,
+    so clips stacked on a later axis share the matrix.
     """
     t_len = seq.shape[0]
     if alpha.shape != (max(t_len - 1, 0),):
@@ -48,28 +49,28 @@ class TcaBlock:
         self.ln2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, mlp_ratio * dim, rng)
 
-    def _heads(self, x):
-        t, n, _ = x.shape
-        return x.reshape(t, n, self.heads, self.dim // self.heads).transpose(0, 2, 1, 3)
+    def _history(self, seq: Tensor) -> Tensor:
+        """Accumulated (..., T, heads, N, dh) keys or values: time moves to
+        axis 0 for `aggregate_kv` and back (a no-op for one clip)."""
+        return aggregate_kv(seq.swapaxes(0, -4), self.alpha).swapaxes(0, -4)
 
     def attention(self, x: Tensor) -> Tensor:
-        """x: (T, P+1, d) -> (T, P+1, d), frame t attending over accumulated
-        keys/values of frames <= t."""
-        t, n, d = x.shape
-        q = self._heads(self.wq(x))
-        k_hat = aggregate_kv(self._heads(self.wk(x)), self.alpha)
-        v_hat = aggregate_kv(self._heads(self.wv(x)), self.alpha)
-        scores = ad.matmul(q, k_hat.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(d))
+        """x: (..., T, P+1, d) -> the same shape, frame t attending over
+        accumulated keys/values of its own clip's frames <= t."""
+        q = nn.split_heads(self.wq(x), self.heads)      # (..., T, heads, N, dh)
+        k_hat = self._history(nn.split_heads(self.wk(x), self.heads))
+        v_hat = self._history(nn.split_heads(self.wv(x), self.heads))
+        scores = ad.matmul(q, k_hat.mT) * (1.0 / np.sqrt(self.dim))
         attn = ad.softmax(scores, axis=-1)
-        out = ad.matmul(attn, v_hat)                      # (T, heads, N, dh)
-        return self.wo(out.transpose(0, 2, 1, 3).reshape(t, n, d))
+        return self.wo(nn.join_heads(ad.matmul(attn, v_hat)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[2] != self.dim:
-            raise ShapeError(f"TCA expects (T, P+1, {self.dim}), got {x.shape}")
-        if x.shape[0] != self.frames:
+        if x.ndim < 3 or x.shape[-1] != self.dim:
+            raise ShapeError(
+                f"TCA expects (..., T, P+1, {self.dim}), got {x.shape}")
+        if x.shape[-3] != self.frames:
             raise ConfigError(
-                f"TCA block sized for T={self.frames}, got T={x.shape[0]}")
+                f"TCA block sized for T={self.frames}, got T={x.shape[-3]}")
         x = x + self.attention(self.ln1(x))
         return x + self.mlp(self.ln2(x))
 

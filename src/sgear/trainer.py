@@ -10,14 +10,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from . import dataio
 from .autodiff import Tensor
 from .encoder import FeatureAdapter
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, DataError, FormatError, NumericError
 from .model import ModelConfig, SgearModel, Toggles, config_from_dict, config_to_dict
 from .semantic import LossWeights, ProtoStore
 
 CHECKPOINT_MAGIC = b"SGCK"
+_HEADER_KEYS = {"arrays", "config", "step", "visual_frozen"}
 
 
 # -- schedule -----------------------------------------------------------------
@@ -177,8 +179,16 @@ def load_dataset(manifest_path):
     manifest = dataio.read_manifest(manifest_path)
     t_len = manifest.frames_per_clip
     clips = []
+    shape = None
     for rec in manifest.records:
         feats = dataio.load_clip_features(manifest_path, rec).astype(np.float64)
+        # every clip is (T, tokens, d) like the first, so batches stack
+        expect = shape or (t_len,) + feats.shape[1:]
+        if feats.shape != expect:
+            raise DataError(f"{rec.clip_id}: features of shape {feats.shape}, "
+                            f"expected {expect} ({t_len} frames per clip, "
+                            f"tokens and d of the first clip)")
+        shape = expect
         times = dataio.sample_observation_window(
             rec.start_time, manifest.tau_o, manifest.tau_a, manifest.fps)
         past_labels = [None] * t_len
@@ -195,26 +205,24 @@ def load_dataset(manifest_path):
 
 def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr,
                grad_clip=None):
-    """One optimization step over a batch of clips (mean of per-clip losses),
-    with the global gradient norm clipped to `grad_clip` when it is set.
+    """One optimization step over a batch of clips, run through the model as
+    one graph (loss: mean of per-clip losses), with the global gradient norm
+    clipped to `grad_clip` when it is set.
 
     Returns the per-part mean loss record as floats.
     """
     params = model.parameters()
     for p in params.values():
         p.zero_grad()
-    scale = 1.0 / len(batch)
+    feats, targets, past_labels = zip(*batch)
+    out = model.total_loss(np.stack(feats), list(targets), weights,
+                           past_labels=list(past_labels))
     record = {}
-    total = None
-    for feats, target, past_labels in batch:
-        out = model.total_loss(feats, target, weights, past_labels=past_labels)
-        for name, part in out["parts"].items():
-            value = float(part.data)
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite '{name}' loss part")
-            record[name] = record.get(name, 0.0) + value * scale
-        total = out["loss"] if total is None else total + out["loss"]
-    total = total * scale
+    for name, part in out["parts"].items():
+        if not np.all(np.isfinite(part.data)):
+            raise NumericError(f"non-finite '{name}' loss part")
+        record[name] = float(part.data.mean())
+    total = out["loss"]
     loss_value = float(total.data)
     if not np.isfinite(loss_value):
         raise NumericError("non-finite total loss")
@@ -282,11 +290,11 @@ def recognition_embeddings(model_config: ModelConfig, clips, train_config,
     recog_model = SgearModel(recog_config, language_store=language_store)
     fit(recog_model, clips, train_config)
     embeddings, labels = [], []
-    for feats, target, _ in clips:
-        merged = recog_model.encode_merge(feats)
-        future = recog_model.decoder.decode(merged)
-        embeddings.append(future.data[-1])
-        labels.append(target)
+    with ad.no_grad():
+        for feats, target, _ in clips:
+            future = recog_model.decoder.decode(recog_model.encode_merge(feats))
+            embeddings.append(future.data[-1])
+            labels.append(target)
     return np.asarray(embeddings), np.asarray(labels)
 
 
@@ -350,18 +358,26 @@ def load_checkpoint(path):
         except ValueError as exc:      # bad JSON or bad UTF-8
             raise FormatError(f"unreadable checkpoint header: {exc}",
                               offset=12) from exc
+        missing = (sorted(_HEADER_KEYS - header.keys())
+                   if isinstance(header, dict) else sorted(_HEADER_KEYS))
+        if missing:
+            raise FormatError(f"checkpoint header lacks {missing}", offset=12)
+        try:
+            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
+                       for e in header["arrays"]]
+            config = config_from_dict(header["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"bad checkpoint header: {exc!r}",
+                              offset=12) from exc
         arrays = {}
         offset = 12 + hlen
-        for entry in header["arrays"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        for name, dtype, shape in entries:
+            count = int(np.prod(shape)) if shape else 1
             buf = dataio._read_exact(fh, count * dtype.itemsize, offset,
-                                     f"array '{entry['name']}'")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dtype).reshape(
-                entry["shape"])
+                                     f"array '{name}'")
+            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
             offset += len(buf)
 
-    config = config_from_dict(header["config"])
     language_store = None
     if "store.language" in arrays:
         language_store = ProtoStore(

@@ -8,6 +8,7 @@ models and take a few minutes combined.
 import time
 
 import numpy as np
+import pytest
 
 import sgear.autodiff as ad
 from sgear import dataio, evaluate, semantic
@@ -47,6 +48,7 @@ def tiny_model(k=6, t=3, d=16, setting="full", seed=0, lang=None,
     return SgearModel(config, language_store=lang or uniform_language_store(k, d))
 
 
+@pytest.mark.slow
 def test_01_gradient_integrity():
     """Full-loss grad check on a tiny model (T=3, P=4, d=16, K=6) < 1e-4."""
     start = time.time()
@@ -168,6 +170,7 @@ def test_05_semantic_transfer():
            f"{final:.3f} in {steps} steps, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_06_anticipation_sanity(tmp_path):
     """Full model fits the synthetic chain task to >= 95% training Top-1."""
     start = time.time()

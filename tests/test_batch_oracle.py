@@ -1,0 +1,266 @@
+"""One graph per batch against the per-clip training loop it replaced.
+
+The oracle below is the old `train_step`: it runs `total_loss` once per clip
+and averages the clips' losses and loss parts. The batched step must give the
+same loss record and every parameter gradient within 1e-10 (relative, floor
+1), for any batch size, setting, subset ratio and mix of past labels.
+"""
+
+import contextlib
+
+import numpy as np
+import pytest
+
+import sgear.autodiff as ad
+from sgear import dataio, trainer
+from sgear.autodiff import Tensor
+from sgear.decoder import DecoderConfig
+from sgear.encoder import EncoderConfig, build_encoder
+from sgear.errors import NumericError
+from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
+from sgear.semantic import LossWeights, ProtoStore
+from sgear.trainer import TrainConfig, fit, train_step
+
+TOL = 1e-10
+K, T, D, TOKENS = 6, 5, 8, 2
+WEIGHTS = LossWeights(sem=1.3, reg=0.7, cls=1.1, past=0.9, feat=0.6)
+PAST_LABELS = ([0, 3, 1, 5, 2], [None, 4, None, 2, None], None)
+
+
+# -- oracle: the per-clip loop ----------------------------------------------------
+
+def oracle_train_step(batch, model, weights):
+    """Loss record of the per-clip loop; leaves the gradients in the model."""
+    for p in model.parameters().values():
+        p.zero_grad()
+    scale = 1.0 / len(batch)
+    record = {}
+    total = None
+    for feats, target, past_labels in batch:
+        out = model.total_loss(feats, target, weights, past_labels=past_labels)
+        for name, part in out["parts"].items():
+            value = float(part.data)
+            if not np.isfinite(value):
+                raise NumericError(f"non-finite '{name}' loss part")
+            record[name] = record.get(name, 0.0) + value * scale
+        total = out["loss"] if total is None else total + out["loss"]
+    total = total * scale
+    total.backward()
+    record["total"] = float(total.data)
+    return record
+
+
+# -- comparison -------------------------------------------------------------------
+
+def make_model(setting, ratio=1.0, t_len=T, d=D):
+    protos = dataio.language_prototypes_from_cooccurrence(
+        np.random.default_rng(7).dirichlet(np.ones(K), size=K), d)
+    config = ModelConfig(
+        num_classes=K, frames=t_len, d=d,
+        encoder=EncoderConfig(mode="passthrough", d=d),
+        n_tca=1, tca_heads=2, pa_k=2,
+        decoder=DecoderConfig(d=d, layers=1, heads=2, mlp_hidden=16,
+                              max_len=t_len),
+        toggles=TABLE3_SETTINGS[setting], subset_ratio=ratio, seed=4)
+    model = SgearModel(config, language_store=ProtoStore(
+        kind="language", tensor=Tensor(protos)))
+    # move TCA's decay off its all-ones start so every product is exercised
+    if model.tca is not None:
+        for block in model.tca.blocks:
+            block.alpha.data[...] = np.linspace(0.9, -0.4, t_len - 1)
+    return model
+
+
+def make_clips(n, seed=11, t_len=T, d=D):
+    """n clips cycling through all, partly and no known past labels."""
+    rng = np.random.default_rng(seed)
+    return [(rng.normal(size=(t_len, TOKENS, d)), int(rng.integers(K)),
+             PAST_LABELS[i % len(PAST_LABELS)]) for i in range(n)]
+
+
+def grads(model):
+    return {name: p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+            for name, p in model.parameters().items()}
+
+
+def close(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b)))
+
+
+def assert_same_step(got_record, got_grads, want_record, want_grads):
+    assert set(got_record) == set(want_record)
+    for name, value in want_record.items():
+        assert close(got_record[name], value), name
+    assert set(got_grads) == set(want_grads)
+    for name, grad in want_grads.items():
+        assert close(got_grads[name], grad), name
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 17])
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+@pytest.mark.parametrize("setting", ["1", "2", "3", "4", "5", "full"])
+def test_batched_step_matches_per_clip_loop(setting, ratio, batch_size):
+    model = make_model(setting, ratio)
+    batch = make_clips(batch_size)
+    want = oracle_train_step(batch, model, WEIGHTS)
+    want_grads = grads(model)
+    got = train_step(batch, model, WEIGHTS, None, 0.0)
+    assert_same_step(got, grads(model), want, want_grads)
+
+
+def test_batch_forward_rows_per_clip():
+    """Each clip of a batch gets its own parts, equal to a single-clip run."""
+    model = make_model("full")
+    batch = make_clips(4, seed=12)
+    feats, targets, past = zip(*batch)
+    out = model.forward(np.stack(feats), list(targets), past_labels=list(past))
+    assert out["logits"].shape == (4, K) and out["probs"].shape == (4, K)
+    assert list(out["past_empty"]) == [False, False, True, False]
+    for b, (x, y, labels) in enumerate(batch):
+        one = model.forward(x, y, past_labels=labels)
+        for name, part in one["parts"].items():
+            assert part.shape == () and out["parts"][name].shape == (4,)
+            assert close(out["parts"][name].data[b], part.data), name
+        assert close(out["probs"].data[b], one["probs"].data)
+
+
+def test_short_last_batch_in_fit(monkeypatch):
+    """10 clips in batches of 4: every step of `fit`, the short last one too,
+    matches the per-clip loop on the same parameters."""
+    model = make_model("full")
+    clips = make_clips(10, seed=13)
+    sizes = []
+
+    def checked(batch, model, weights, optimizer, lr, grad_clip=None):
+        want = oracle_train_step(batch, model, weights)
+        want_grads = grads(model)
+        got = train_step(batch, model, weights, optimizer, lr,
+                         grad_clip=grad_clip)
+        # the optimizer step leaves the gradients in place
+        assert_same_step(got, grads(model), want, want_grads)
+        sizes.append(len(batch))
+        return got
+
+    monkeypatch.setattr(trainer, "train_step", checked)
+    config = TrainConfig(optimizer="adamw", lr=1e-3, epochs=1, batch_size=4,
+                         loss_weights=WEIGHTS)
+    history, _ = fit(model, clips, config)
+    assert sizes == [4, 4, 2] and len(history) == 3
+
+
+def test_grad_check_batched_loss():
+    """Finite differences of a 3-clip loss: the detach tape and the frozen
+    prototype choice work with a clip axis."""
+    model = make_model("full", t_len=3)
+    feats, targets, past = zip(*make_clips(3, seed=14, t_len=3))
+    past = ([None, 1, 2], None, [4, None, 0])
+    params = model.parameters()
+    names = ("encoder.lin.b", "tca.block0.alpha", "tca.block0.wo.b",
+             "pa.toe_weights", "pa.beta", "pa.lam", "decoder.block0.mlp.fc2.b",
+             "head.alpha", "head.w_cls.b", "protos.visual")
+    err = ad.grad_check(
+        lambda: model.total_loss(np.stack(feats), list(targets), WEIGHTS,
+                                 past_labels=list(past))["loss"],
+        [params[name] for name in names])
+    assert err < 1e-6
+
+
+# -- graph size ---------------------------------------------------------------------
+
+def count_nodes(root):
+    """Distinct tensors reachable from `root` through the autodiff graph (the
+    benchmark tracer's walk)."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in stack.pop()._prev:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return len(seen)
+
+
+def bench_model(k, t_len, d=16):
+    """The benchmark's tiny model: full setting, uniform language store."""
+    lang = ProtoStore(kind="language", tensor=Tensor(
+        dataio.language_prototypes_from_cooccurrence(np.full((k, k), 1.0 / k), d)))
+    config = ModelConfig(
+        num_classes=k, frames=t_len, d=d,
+        encoder=EncoderConfig(mode="passthrough", d=d), n_tca=1, tca_heads=2,
+        decoder=DecoderConfig(d=d, layers=1, heads=2, mlp_hidden=32,
+                              max_len=t_len),
+        toggles=TABLE3_SETTINGS["full"], seed=0)
+    return SgearModel(config, language_store=lang)
+
+
+def test_node_counts():
+    """The benchmark's gradcheck model and input (one clip) stay at most 298
+    nodes; a batch of four clips of the train workload's shape costs at most
+    330, not four times a clip."""
+    weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
+    model = bench_model(6, 3)
+    feats = np.random.default_rng(3).normal(size=(3, 5, 16))
+    one = model.total_loss(feats, 0, weights, past_labels=[None, 1, 2])["loss"]
+    assert count_nodes(one) <= 298
+
+    model = bench_model(12, 8)
+    feats = np.random.default_rng(4).normal(size=(4, 8, 2, 16))
+    past = [[None] + [1] * 7, None, [2, None] * 4, [None] * 8]
+    four = model.total_loss(feats, [0, 5, 7, 11], weights, past_labels=past)["loss"]
+    assert count_nodes(four) <= 330
+
+
+# -- inference without a graph ----------------------------------------------------------
+
+@pytest.mark.parametrize("setting", ["1", "full"])
+def test_predict_bit_identical_without_graph(setting, monkeypatch):
+    model = make_model(setting, ratio=0.5)
+    clips = make_clips(3, seed=15)
+    without = [model.predict(x, n_steps=n) for x, _, _ in clips for n in (0, 2)]
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    with_graph = [model.predict(x, n_steps=n) for x, _, _ in clips for n in (0, 2)]
+    for a, b in zip(without, with_graph):
+        assert np.array_equal(a, b)
+
+
+def test_no_grad_builds_no_graph_and_restores():
+    model = make_model("full")
+    x, y, labels = make_clips(1, seed=16)[0]
+    with ad.no_grad():
+        out = model.total_loss(x, y, WEIGHTS, past_labels=labels)
+    assert not out["loss"].requires_grad and out["loss"]._prev == ()
+    assert out["loss"]._backward is None
+
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("inside")
+    with ad.no_grad():
+        with ad.no_grad():
+            pass
+        assert not ad._GRAD_ENABLED       # the inner exit restores "off"
+    out = model.total_loss(x, y, WEIGHTS, past_labels=labels)
+    assert out["loss"].requires_grad
+    out["loss"].backward()
+    assert np.abs(model.head.w_cls.w.grad).max() > 0.0
+
+
+# -- encoders with a clip axis ------------------------------------------------------------
+
+def test_encoders_take_a_clip_axis():
+    """A (B, T, ...) batch encodes to the stack of its clips' encodings."""
+    rng = np.random.default_rng(17)
+    vit = build_encoder(EncoderConfig(mode="vit-lite", d=8, patch_size=8,
+                                      depth=1, heads=2, input_size=16), rng)
+    frames = rng.normal(size=(3, 2, 16, 16))
+    got = vit(frames).tokens.data
+    assert got.shape == (3, 2, 5, 8)
+    for b in range(3):
+        assert np.array_equal(got[b], vit(list(frames[b])).tokens.data)
+
+    adapter = build_encoder(EncoderConfig(mode="adapter", d=8), rng)
+    adapter.set_prototype_stats(rng.normal(size=8), rng.uniform(0.5, 2.0, 8))
+    feats = rng.normal(size=(3, 4, 1, 8))
+    got = adapter(feats).tokens.data
+    for b in range(3):
+        assert np.array_equal(got[b], adapter(feats[b, :, 0, :]).tokens.data)

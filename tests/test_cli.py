@@ -1,8 +1,12 @@
 """End-to-end command-line runs and exit-code conventions."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from sgear import dataio
 from sgear.cli import build_co_graph, main
 from sgear.errors import ConfigError
 
@@ -132,3 +136,44 @@ class TestExitCodes:
         code = main(["ensemble", "--inputs", str(preds), str(preds),
                      "--weights", "1.0", "--out", str(root / "no.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["arrays", "config", "step", "visual_frozen",
+                                     "config.decoder", "config.encoder.mode"])
+    def test_checkpoint_header_without_key_is_3(self, workspace, tmp_path,
+                                                 capsys, key):
+        root, data, ckpt = workspace
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        *path, last = key.split(".")
+        node = header
+        for part in path:
+            node = node[part]
+        if last == "mode":
+            node[last] = "nope"      # a config the model rejects
+        else:
+            del node[last]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.sgck"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                        + raw[12 + hlen:])
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.jsonl")])
+        assert code == 3
+        assert "byte offset 12" in capsys.readouterr().err
+
+    def test_mixed_feature_shapes_is_3(self, tmp_path, capsys):
+        data = tmp_path / "mixed"
+        assert main(["synth", "--out", str(data), "--classes", "4",
+                     "--frames", "3", "--dim", "8", "--clips", "4",
+                     "--tokens", "2", "--seed", "2"]) == 0
+        # one clip with a third token
+        clip = data / "clip_00002.sgft"
+        arr = dataio.read_feature_file(clip)
+        dataio.write_feature_file(clip, np.concatenate([arr, arr[:, :1]], axis=1))
+        code = main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(data / "language_prototypes.sglp"),
+                     "--checkpoint", str(tmp_path / "x.sgck"),
+                     "--preset", "desk", "--epochs", "1", "--setting", "full"])
+        assert code == 3
+        assert "clip_00002" in capsys.readouterr().err

@@ -249,6 +249,27 @@ class TestLosses:
         assert protos.grad is None
         assert np.abs(z.grad).max() > 0.0
 
+    def test_row_losses_average_rows_or_pool_them(self):
+        rng = np.random.default_rng(14)
+        protos = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        z = Tensor(rng.normal(size=(3, 4)))
+        rows = Tensor(rng.uniform(-1, 1, size=(3, 3)))
+        y = [2, 0, 2]
+        sem = [float(loss_sem(z[i], protos, rows[i]).data) for i in range(3)]
+        reg = [float(loss_reg(z[i], protos, y[i]).data) for i in range(3)]
+        assert abs(float(loss_sem(z, protos, rows).data) - np.mean(sem)) < 1e-12
+        assert abs(float(loss_reg(z, protos, y).data) - np.mean(reg)) < 1e-12
+        pool = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])   # two clips
+        np.testing.assert_allclose(
+            loss_sem(z, protos, rows, pool=pool).data, pool @ sem, atol=1e-12)
+        np.testing.assert_allclose(
+            loss_reg(z, protos, y, pool=pool).data, pool @ reg, atol=1e-12)
+
+    def test_loss_reg_rejects_rows_without_classes(self):
+        protos = Tensor(np.eye(3))
+        with pytest.raises(ShapeError):
+            loss_reg(Tensor(np.eye(3)[:2]), protos, 1)
+
     def test_loss_feat_shifted_equal(self):
         rng = np.random.default_rng(13)
         merged = rng.normal(size=(4, 3))

@@ -10,7 +10,7 @@ from sgear import dataio
 from sgear.autodiff import Tensor
 from sgear.decoder import DecoderConfig
 from sgear.encoder import EncoderConfig
-from sgear.errors import ConfigError, FormatError, NumericError
+from sgear.errors import ConfigError, DataError, FormatError, NumericError
 from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
 from sgear.semantic import LossWeights, ProtoStore
 from sgear.trainer import (AdamW, Sgd, TrainConfig, fit, load_checkpoint,
@@ -168,6 +168,21 @@ class TestTraining:
         with pytest.raises(NumericError):
             train_step(clips, model, LossWeights(1, 1, 1, 1, 1), None, 0.0)
 
+    def test_clip_shapes_checked_at_load(self, tmp_path):
+        manifest_path, _ = tiny_dataset(tmp_path, n_clips=3)
+        clip = tmp_path / "clip_00001.sgft"
+        arr = dataio.read_feature_file(clip)
+        for bad in (arr[:, :1], arr[:-1], arr[..., :-1]):
+            dataio.write_feature_file(clip, bad)
+            with pytest.raises(DataError, match="clip_00001"):
+                load_dataset(manifest_path)
+        # a first clip with the wrong frame count is caught too
+        dataio.write_feature_file(clip, arr)
+        first = tmp_path / "clip_00000.sgft"
+        dataio.write_feature_file(first, dataio.read_feature_file(first)[:-1])
+        with pytest.raises(DataError, match="clip_00000"):
+            load_dataset(manifest_path)
+
     def test_past_labels_matched_to_frames(self, tmp_path):
         manifest_path, _ = tiny_dataset(tmp_path, n_clips=3)
         _, clips = load_dataset(manifest_path)
@@ -237,6 +252,23 @@ class TestCheckpoint:
         for bad in (b"\xff", b"]"):
             data[12:13] = bad
             path.write_bytes(bytes(data))
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(path)
+            assert exc.value.offset == 12
+
+    def test_header_without_key_is_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, tiny_model(manifest_path, proto_path))
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        full = json.loads(data[12:12 + hlen])
+        headers = [{}, [], {k: v for k, v in full.items() if k != "arrays"},
+                   dict(full, arrays=[{"name": "x"}]), dict(full, config={})]
+        for header in headers:
+            blob = json.dumps(header).encode()
+            path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                             + data[12 + hlen:])
             with pytest.raises(FormatError) as exc:
                 load_checkpoint(path)
             assert exc.value.offset == 12
