@@ -9,6 +9,7 @@ runs in double precision by default so finite-difference verification
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,8 +58,14 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _all_finite(data):
+    # exact: a finite sum proves every entry finite; only a non-finite sum (a
+    # bad entry, or an overflow, which numpy warns about) is checked entrywise
+    return math.isfinite(data.sum()) or np.isfinite(data).all()
+
+
 def _finite(name, data):
-    if CHECK_FINITE and not np.all(np.isfinite(data)):
+    if CHECK_FINITE and not _all_finite(data):
         raise NumericError(f"non-finite values produced by '{name}'")
     return data
 
@@ -395,7 +402,7 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis=-1) -> Tensor:
     """Shift-invariant softmax along `axis`."""
     x = _as_tensor(x)
-    if not np.all(np.isfinite(x.data)):
+    if not _all_finite(x.data):
         raise NumericError("softmax received non-finite input")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -491,7 +498,8 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
 
     Detached values are recorded during the reference evaluation and replayed
     during the difference probes, so losses with stop-gradient branches are
-    checked against the derivative they actually optimize.
+    checked against the derivative they actually optimize. Only the reference
+    call builds a graph; the probes run under `no_grad`.
     """
     global CHECK_FINITE, _DETACH_TAPE
     prev_flag, CHECK_FINITE = CHECK_FINITE, True
@@ -504,21 +512,22 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
         grads = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                  for p in params]
         worst = 0.0
-        for p, g_ad in zip(params, grads):
-            flat = p.data.reshape(-1)
-            g_flat = g_ad.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
-                _DETACH_TAPE.cursor = 0
-                f_plus = float(f().data)
-                flat[i] = orig - eps
-                _DETACH_TAPE.cursor = 0
-                f_minus = float(f().data)
-                flat[i] = orig
-                g_fd = (f_plus - f_minus) / (2.0 * eps)
-                err = abs(g_flat[i] - g_fd) / max(1.0, abs(g_flat[i]), abs(g_fd))
-                worst = max(worst, err)
+        with no_grad():                 # a probe only reads .data
+            for p, g_ad in zip(params, grads):
+                flat = p.data.reshape(-1)
+                g_flat = g_ad.reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + eps
+                    _DETACH_TAPE.cursor = 0
+                    f_plus = float(f().data)
+                    flat[i] = orig - eps
+                    _DETACH_TAPE.cursor = 0
+                    f_minus = float(f().data)
+                    flat[i] = orig
+                    g_fd = (f_plus - f_minus) / (2.0 * eps)
+                    err = abs(g_flat[i] - g_fd) / max(1.0, abs(g_flat[i]), abs(g_fd))
+                    worst = max(worst, err)
         return worst
     finally:
         CHECK_FINITE = prev_flag

@@ -125,7 +125,6 @@ def _cmd_train(args):
     if args.batch_size is not None:
         train_config.batch_size = args.batch_size
     train_config.seed = args.seed
-    train_config.toggles = config.toggles
 
     visual_store, language_store = _build_stores(args, manifest, clips, config)
     model = SgearModel(config, visual_store=visual_store,

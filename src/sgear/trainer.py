@@ -15,7 +15,7 @@ from . import dataio
 from .autodiff import Tensor
 from .encoder import FeatureAdapter
 from .errors import ConfigError, DataError, FormatError, NumericError
-from .model import ModelConfig, SgearModel, Toggles, config_from_dict, config_to_dict
+from .model import ModelConfig, SgearModel, config_from_dict, config_to_dict
 from .semantic import LossWeights, ProtoStore
 
 CHECKPOINT_MAGIC = b"SGCK"
@@ -132,7 +132,6 @@ class TrainConfig:
     warmup_epochs: int = 0
     loss_weights: LossWeights = field(
         default_factory=lambda: LossWeights(1.0, 1.0, 1.0, 1.0, 1.0))
-    toggles: Toggles = field(default_factory=Toggles)
     grad_clip: float = None
     seed: int = 0
     preset: str = "custom"
@@ -397,7 +396,12 @@ def load_checkpoint(path):
     params = model.parameters()
     for name, arr in arrays.items():
         if name.startswith("param."):
-            params[name[len("param."):]].data[...] = arr
+            param = params.get(name[len("param."):])
+            # save_checkpoint writes a 0-d parameter as a (1,) array
+            if param is None or arr.shape not in (param.shape, param.shape or (1,)):
+                raise FormatError(f"checkpoint array '{name}' {arr.shape} matches "
+                                  f"no model parameter")
+            param.data[...] = arr
     opt_arrays = {k[len("opt."):]: v for k, v in arrays.items()
                   if k.startswith("opt.")}
     return model, opt_arrays, header["step"]

@@ -187,7 +187,6 @@ def test_06_anticipation_sanity(tmp_path):
         model = tiny_model(k=k, t=t, d=d, setting=setting, lang=lang)
         cfg = make_preset("desk")
         cfg.epochs = 10
-        cfg.toggles = model.config.toggles
         fit(model, train, cfg)
         tr = evaluate.topk_accuracy(evaluate.predict_dataset(model, train), 1)
         ho = evaluate.topk_accuracy(evaluate.predict_dataset(model, held), 1)
@@ -324,7 +323,6 @@ def test_10_round_trips(tmp_path):
         model = tiny_model(k=k, t=t, d=d, lang=lang, seed=9)
         cfg = make_preset("desk")
         cfg.epochs = 2
-        cfg.toggles = model.config.toggles
         _, opt = fit(model, clips, cfg)
         return model, opt
 

@@ -162,6 +162,32 @@ class TestExitCodes:
         assert code == 3
         assert "byte offset 12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", ["name", "shape"])
+    def test_checkpoint_array_matching_no_parameter_is_3(
+            self, workspace, tmp_path, capsys, change):
+        """A renamed parameter array, or one whose (n,) shape reads as
+        (1, n), ends in exit 3 naming it, not in a traceback."""
+        root, data, ckpt = workspace
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + hlen])
+        entry = next(e for e in header["arrays"]
+                     if e["name"].startswith("param.") and len(e["shape"]) == 1
+                     and e["shape"][0] > 1)
+        if change == "name":
+            entry["name"] = "param.nope"
+        else:
+            entry["shape"] = [1] + entry["shape"]
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.sgck"
+        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                        + raw[12 + hlen:])
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"'{entry['name']}'" in err and "Traceback" not in err
+
     def test_mixed_feature_shapes_is_3(self, tmp_path, capsys):
         data = tmp_path / "mixed"
         assert main(["synth", "--out", str(data), "--classes", "4",

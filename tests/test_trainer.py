@@ -273,6 +273,35 @@ class TestCheckpoint:
                 load_checkpoint(path)
             assert exc.value.offset == 12
 
+    def test_array_of_no_parameter_is_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, tiny_model(manifest_path, proto_path))
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + hlen])
+        entry = next(e for e in header["arrays"] if e["name"].startswith("param."))
+        entry["name"] = "param.nope"
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                         + data[12 + hlen:])
+        with pytest.raises(FormatError, match="'param.nope'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_array_of_other_shape_is_format_error(self, tmp_path, size):
+        """A (1,) array would broadcast into the parameter, a (3,) one would
+        not; both are rejected by name."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        name, param = next((n, p) for n, p in model.parameters().items()
+                           if p.data.ndim == 1 and p.data.size > size)
+        param.data = param.data[:size].copy()
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model)
+        with pytest.raises(FormatError, match=f"'param.{name}' \\({size},\\)"):
+            load_checkpoint(path)
+
     def test_adapter_statistics_survive(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
         lang = ProtoStore.load(proto_path, kind="language")
