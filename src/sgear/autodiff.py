@@ -499,11 +499,13 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
     Detached values are recorded during the reference evaluation and replayed
     during the difference probes, so losses with stop-gradient branches are
     checked against the derivative they actually optimize. Only the reference
-    call builds a graph; the probes run under `no_grad`.
+    call builds a graph, also inside a caller's `no_grad`; the probes run
+    under `no_grad`.
     """
-    global CHECK_FINITE, _DETACH_TAPE
+    global CHECK_FINITE, _DETACH_TAPE, _GRAD_ENABLED
     prev_flag, CHECK_FINITE = CHECK_FINITE, True
     prev_tape, _DETACH_TAPE = _DETACH_TAPE, _DetachTape()
+    prev_grad, _GRAD_ENABLED = _GRAD_ENABLED, True
     try:
         for p in params:
             p.zero_grad()
@@ -532,6 +534,7 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
     finally:
         CHECK_FINITE = prev_flag
         _DETACH_TAPE = prev_tape
+        _GRAD_ENABLED = prev_grad
 
 
 def frozen_choice(values: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semantic
-from .errors import ConfigError, EvalError, FormatError
+from .errors import ConfigError, EvalError, FormatError, ShapeError
 
 PREDICTIONS_FORMAT = "sgear-predictions"
 
@@ -112,13 +112,32 @@ def marginalize(preds, action_map, component):
 
 # -- model evaluation ----------------------------------------------------------------
 
+# Clips per `predict` call in the sweeps; bounds the stacked arrays' memory.
+SWEEP_CHUNK = 256
+
+
+def _predictions(clips, clip_ids, scores):
+    return [Prediction(clip_ids[i] if clip_ids else f"clip_{i:05d}", p, target)
+            for i, ((_, target, _), p) in enumerate(zip(clips, scores))]
+
+
 def predict_dataset(model, clips, clip_ids=None, n_steps=0):
-    preds = []
-    for i, (feats, target, _) in enumerate(clips):
-        cid = clip_ids[i] if clip_ids else f"clip_{i:05d}"
-        preds.append(Prediction(cid, model.predict(feats, n_steps=n_steps),
-                                target))
-    return preds
+    # one `predict` call per clip: the benchmark times each call as one
+    # clip's latency, so batching waits for that hook (ROADMAP item 3)
+    return _predictions(clips, clip_ids, [model.predict(feats, n_steps=n_steps)
+                                          for feats, _, _ in clips])
+
+
+def _predict_chunked(model, clips, clip_ids, n_steps=0):
+    """`predict_dataset` with one `predict` call per SWEEP_CHUNK clips."""
+    scores = []
+    for start in range(0, len(clips), SWEEP_CHUNK):
+        chunk = [feats for feats, _, _ in clips[start:start + SWEEP_CHUNK]]
+        shapes = {np.shape(feats) for feats in chunk}
+        if len(shapes) > 1:
+            raise ShapeError(f"clips differ in shape: {sorted(shapes)}")
+        scores.extend(model.predict(np.stack(chunk), n_steps=n_steps))
+    return _predictions(clips, clip_ids, scores)
 
 
 def eval_variable_tau(model, manifest, clips, tau_list, clip_ids=None,
@@ -131,7 +150,7 @@ def eval_variable_tau(model, manifest, clips, tau_list, clip_ids=None,
             raise ConfigError(f"tau_a {tau} below training value "
                               f"{manifest.tau_a}")
         n_steps = int(round((tau - manifest.tau_a) * manifest.fps))
-        preds = predict_dataset(model, clips, clip_ids, n_steps=n_steps)
+        preds = _predict_chunked(model, clips, clip_ids, n_steps=n_steps)
         value = metric(preds, k) if metric is topk_accuracy else metric(preds)
         rows.append({"tau_a": tau, "n_steps": n_steps, "metric": value})
     return rows
@@ -149,7 +168,7 @@ def prototype_ratio_sweep(model, clips, ratios, clip_ids=None,
         for ratio in ratios:
             model.subset = semantic.choose_subset(
                 model.config.num_classes, ratio, model.config.subset_seed)
-            preds = predict_dataset(model, clips, clip_ids)
+            preds = _predict_chunked(model, clips, clip_ids)
             value = metric(preds, k) if metric is topk_accuracy else metric(preds)
             rows.append({
                 "ratio": ratio,

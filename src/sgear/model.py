@@ -148,14 +148,15 @@ class SgearModel:
         return self.head.classify(z)
 
     def step_probs(self, z: Tensor) -> np.ndarray:
-        """K-vector of class probabilities; with a prototype subset active the
-        softmax runs over the subset's logits only."""
+        """Class probabilities, (K,) for one decoder embedding (d,) or (B, K)
+        for a stack (B, d); with a prototype subset active the softmax runs
+        over the subset's logits only and the other classes score 0."""
         logits, probs = self.step_logits(z)
         sub = self._subset_or_none()
         if sub is None:
             return probs.data
-        out = np.zeros(self.config.num_classes)
-        out[sub] = ad.softmax(logits[sub], axis=-1).data
+        out = np.zeros((*logits.shape[:-1], self.config.num_classes))
+        out[..., sub] = ad.softmax(logits[..., sub], axis=-1).data
         return out
 
     # -- training forward ------------------------------------------------------
@@ -234,11 +235,12 @@ class SgearModel:
     # -- inference ----------------------------------------------------------------
 
     def predict(self, inputs, n_steps=0) -> np.ndarray:
-        """Class probabilities for one clip; n_steps > 0 rolls the decoder
+        """Class probabilities, (K,) for one clip (T, tokens, d) or (B, K) for
+        a stack of clips (B, T, tokens, d); n_steps > 0 rolls the decoder
         forward autoregressively before classifying. Builds no graph."""
         with ad.no_grad():
             future = self.decoder.rollout(self.encode_merge(inputs), n_steps)
-            return self.step_probs(future[-1])
+            return self.step_probs(future[..., -1, :])
 
     # -- registry ------------------------------------------------------------------
 

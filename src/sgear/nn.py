@@ -27,6 +27,13 @@ def merge_params(*dicts) -> dict:
     return out
 
 
+def cosine_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., n, m) cosines of the (..., n, d) rows of x and (m, d) rows of p."""
+    xn = np.linalg.norm(x, axis=-1, keepdims=True)
+    pn = np.linalg.norm(p, axis=-1, keepdims=True)
+    return (x @ p.T) / (xn * pn.T + 1e-8)
+
+
 class Linear:
     """Affine map in_dim -> out_dim; weight stored (in, out)."""
 

@@ -20,9 +20,7 @@ def frame_relative_repr(cls_stream, protos) -> np.ndarray:
     if x.shape[-1] != p.shape[-1]:
         raise ShapeError(f"feature dim {x.shape[-1]} does not match prototype "
                          f"dim {p.shape[-1]}")
-    xn = np.linalg.norm(x, axis=-1, keepdims=True)
-    pn = np.linalg.norm(p, axis=-1, keepdims=True)
-    return (x @ p.T) / (xn * pn.T + 1e-8)
+    return nn.cosine_matrix(x, p)
 
 
 def select_prototypes(sims: np.ndarray, k: int):

@@ -141,9 +141,7 @@ class LanguageTargets:
     """
 
     def __init__(self, store: ProtoStore):
-        p = store.tensor.data
-        norms = np.linalg.norm(p, axis=1, keepdims=True)
-        self.matrix = (p @ p.T) / (norms * norms.T + 1e-8)
+        self.matrix = similarity_matrix(store)
 
     def row(self, y, subset=None) -> Tensor:
         """Row y, or one row per class when `y` is a sequence of classes."""
@@ -291,9 +289,7 @@ def total_loss(parts: dict, weights: LossWeights) -> Tensor:
 # -- geometry analysis -----------------------------------------------------------
 
 def similarity_matrix(store: ProtoStore) -> np.ndarray:
-    p = store.tensor.data
-    norms = np.linalg.norm(p, axis=1, keepdims=True)
-    return (p @ p.T) / (norms * norms.T + 1e-8)
+    return nn.cosine_matrix(store.tensor.data, store.tensor.data)
 
 
 def alignment_score(store_a: ProtoStore, store_b: ProtoStore) -> float:

@@ -398,6 +398,17 @@ class TestGraphFreeProbes:
         assert outs[0].requires_grad and outs[0]._prev
         assert all(not o.requires_grad and o._prev == () for o in outs[1:])
 
+    def test_inside_no_grad_equals_outside(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        cases = [(lambda: (x * x).sum(), [x]), detach_and_choice_case()]
+        for f, params in cases:
+            outside = ad.grad_check(f, params)
+            with ad.no_grad():
+                inside = ad.grad_check(f, params)
+                assert not ad._GRAD_ENABLED
+            assert inside == outside == grad_check_oracle(f, params)
+            assert inside < 1e-6
+
     @pytest.mark.parametrize("grad_enabled", [True, False])
     @pytest.mark.parametrize("check_finite", [False, True])
     @pytest.mark.parametrize("tape", [None, "outer"])

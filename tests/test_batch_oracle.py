@@ -4,19 +4,23 @@ The oracle below is the old `train_step`: it runs `total_loss` once per clip
 and averages the clips' losses and loss parts. The batched step must give the
 same loss record and every parameter gradient within 1e-10 (relative, floor
 1), for any batch size, setting, subset ratio and mix of past labels.
+
+Batched `predict` and the sweeps built on it are checked the same way against
+per-clip `predict` and the old per-clip sweeps.
 """
 
 import contextlib
+import types
 
 import numpy as np
 import pytest
 
 import sgear.autodiff as ad
-from sgear import dataio, trainer
+from sgear import dataio, evaluate, semantic, trainer
 from sgear.autodiff import Tensor
 from sgear.decoder import DecoderConfig
 from sgear.encoder import EncoderConfig, build_encoder
-from sgear.errors import NumericError
+from sgear.errors import NumericError, ShapeError
 from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
 from sgear.semantic import LossWeights, ProtoStore
 from sgear.trainer import TrainConfig, fit, train_step
@@ -264,3 +268,89 @@ def test_encoders_take_a_clip_axis():
     got = adapter(feats).tokens.data
     for b in range(3):
         assert np.array_equal(got[b], adapter(feats[b, :, 0, :]).tokens.data)
+
+
+# -- batched predict and sweeps -------------------------------------------------------
+
+PREDICT_TOL = 1e-12
+MANIFEST = types.SimpleNamespace(tau_a=1.0, fps=2.0)
+TAUS, RATIOS = [1.0, 1.5, 2.0], [1.0, 0.5, 0.25]
+
+
+def per_clip_preds(model, clips, ids, n_steps=0):
+    return [evaluate.Prediction(cid, model.predict(x, n_steps=n_steps), y)
+            for cid, (x, y, _) in zip(ids, clips)]
+
+
+def oracle_tau_rows(model, clips, ids):
+    """`eval_variable_tau` as it was: one `predict` call per clip."""
+    rows = []
+    for tau in TAUS:
+        n_steps = int(round((tau - MANIFEST.tau_a) * MANIFEST.fps))
+        preds = per_clip_preds(model, clips, ids, n_steps=n_steps)
+        rows.append({"tau_a": tau, "n_steps": n_steps,
+                     "metric": evaluate.topk_accuracy(preds, 1)})
+    return rows
+
+
+def oracle_ratio_rows(model, clips, ids):
+    """`prototype_ratio_sweep` as it was: one `predict` call per clip."""
+    saved, rows = model.subset, []
+    for ratio in RATIOS:
+        model.subset = semantic.choose_subset(K, ratio, model.config.subset_seed)
+        preds = per_clip_preds(model, clips, ids)
+        rows.append({"ratio": ratio, "comparisons": len(model.subset),
+                     "metric": evaluate.topk_accuracy(preds, 1)})
+    model.subset = saved
+    return rows
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+@pytest.mark.parametrize("setting", ["1", "2", "3", "4", "5", "full"])
+def test_batched_predict_matches_per_clip(setting, ratio):
+    model = make_model(setting, ratio)
+    feats = np.stack([x for x, _, _ in make_clips(257, seed=18)])
+    for n_steps in (0, 2):
+        want = [model.predict(x, n_steps=n_steps) for x in feats]
+        assert all(p.shape == (K,) for p in want)
+        for size in (1, 3, 257):
+            got = model.predict(feats[:size], n_steps=n_steps)
+            assert got.shape == (size, K)
+            assert np.abs(got - want[:size]).max() <= PREDICT_TOL
+
+
+@pytest.mark.parametrize("setting", ["1", "full"])
+def test_sweeps_match_per_clip_sweeps(setting, monkeypatch):
+    """257 clips cross one chunk boundary: each sweep setting is one 256-clip
+    and one 1-clip `predict` call, and every row equals the per-clip sweep."""
+    model = make_model(setting, ratio=0.5)
+    clips = make_clips(257, seed=19)
+    ids = [f"c{i}" for i in range(len(clips))]
+    want = oracle_tau_rows(model, clips, ids), oracle_ratio_rows(model, clips, ids)
+    sizes = []
+    predict = SgearModel.predict
+
+    def counted(self, inputs, n_steps=0):
+        sizes.append(len(inputs))
+        return predict(self, inputs, n_steps=n_steps)
+
+    monkeypatch.setattr(SgearModel, "predict", counted)
+    saved = model.subset
+    got = (evaluate.eval_variable_tau(model, MANIFEST, clips, TAUS, ids),
+           evaluate.prototype_ratio_sweep(model, clips, RATIOS, ids))
+    assert got == want
+    assert sizes == [256, 1] * (len(TAUS) + len(RATIOS))
+    assert model.subset is saved
+
+
+def test_sweeps_reject_clips_of_different_shapes():
+    model = make_model("full", ratio=0.5)
+    saved = model.subset
+    clips = make_clips(3, seed=20)
+    for odd in (np.zeros((T - 1, TOKENS, D)), np.zeros((T, TOKENS + 1, D))):
+        mixed = clips + [(odd, 0, None)]
+        with pytest.raises(ShapeError, match="differ in shape"):
+            evaluate.eval_variable_tau(model, MANIFEST, mixed, TAUS)
+        with pytest.raises(ShapeError, match="differ in shape"):
+            evaluate.prototype_ratio_sweep(model, mixed, RATIOS)
+        assert model.subset is saved

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from sgear import dataio
+from sgear import dataio, evaluate
 from sgear.cli import build_co_graph, main
+from sgear.encoder import FeatureAdapter
 from sgear.errors import ConfigError
 
 
@@ -79,7 +80,7 @@ class TestCommands:
 
 
 class TestAdapterRun:
-    def test_single_token_train_then_eval(self, tmp_path):
+    def test_single_token_train_then_eval(self, tmp_path, monkeypatch):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--classes", "4", "--frames",
                      "3", "--dim", "8", "--clips", "8", "--tokens", "1",
@@ -89,11 +90,31 @@ class TestAdapterRun:
                      "--prototypes", str(data / "language_prototypes.sglp"),
                      "--checkpoint", str(ckpt), "--preset", "desk",
                      "--epochs", "1", "--setting", "4"]) == 0
-        csv_out = tmp_path / "metrics.csv"
-        assert main(["eval", "--checkpoint", str(ckpt),
-                     "--manifest", str(data / "manifest.jsonl"),
-                     "--csv-out", str(csv_out)]) == 0
-        assert csv_out.exists()
+
+        shapes = []
+        adapt = FeatureAdapter.__call__
+
+        def recorded(self, feats):
+            shapes.append(np.shape(feats))
+            return adapt(self, feats)
+
+        monkeypatch.setattr(FeatureAdapter, "__call__", recorded)
+
+        def run_eval(name):
+            csv_out = tmp_path / f"{name}.csv"
+            assert main(["eval", "--checkpoint", str(ckpt),
+                         "--manifest", str(data / "manifest.jsonl"),
+                         "--csv-out", str(csv_out), "--tau", "1.0", "2.0",
+                         "--ratios", "0.5", "1.0"]) == 0
+            return [csv_out.with_suffix(suffix).read_text()
+                    for suffix in (".csv", ".tau.csv", ".ratio.csv")]
+
+        batched = run_eval("batched")
+        # the sweeps stack all 8 clips; the main predictions go one by one
+        assert set(shapes) == {(3, 1, 8), (8, 3, 1, 8)}
+        monkeypatch.setattr(evaluate, "_predict_chunked",
+                            evaluate.predict_dataset)
+        assert batched == run_eval("per_clip")
 
 
 class TestExitCodes:

@@ -8,6 +8,7 @@ import sgear.autodiff as ad
 from sgear import semantic
 from sgear.autodiff import Tensor
 from sgear.errors import ConfigError, ShapeError
+from sgear.pa import frame_relative_repr
 from sgear.semantic import (CosineHead, LanguageTargets, LinearHead,
                             LossWeights, ProtoStore, alignment_score,
                             choose_subset, init_visual_prototypes,
@@ -315,6 +316,24 @@ class TestGeometry:
         rng = np.random.default_rng(15)
         sims = similarity_matrix(store_from(rng.normal(size=(4, 6))))
         assert np.abs(np.diag(sims) - 1.0).max() < 1e-6
+
+    def test_one_cosine_helper_bit_exact(self):
+        """The similarity matrix, the language targets and PA's frame scores
+        all equal the formula each of them computed on its own before."""
+        rng = np.random.default_rng(18)
+        p = rng.normal(size=(5, 6))
+        p[3] = 0.0
+        x = rng.normal(size=(2, 3, 6))
+        x[1, 2] = 0.0
+        norms = np.linalg.norm(p, axis=1, keepdims=True)
+        old_self = (p @ p.T) / (norms * norms.T + 1e-8)
+        xn = np.linalg.norm(x, axis=-1, keepdims=True)
+        pn = np.linalg.norm(p, axis=-1, keepdims=True)
+        old_frames = (x @ p.T) / (xn * pn.T + 1e-8)
+        store = store_from(p, kind="language")
+        assert np.array_equal(similarity_matrix(store), old_self)
+        assert np.array_equal(LanguageTargets(store).matrix, old_self)
+        assert np.array_equal(frame_relative_repr(x, p), old_frames)
 
     def test_alignment_self_correlation(self):
         rng = np.random.default_rng(16)
