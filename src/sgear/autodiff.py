@@ -283,12 +283,6 @@ class Tensor:
             out._backward = lambda g: self._accum(g * np.sign(self.data))
         return out
 
-    def tanh(self):
-        out = _make(np.tanh(self.data), (self,), "tanh")
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g * (1.0 - out.data ** 2))
-        return out
-
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -448,16 +442,6 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     return out
 
 
-def cosine_sim(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """cos(a, b) = a.b / (|a||b| + eps); returns 0 for two zero vectors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"cosine_sim shape mismatch: {a.shape} vs {b.shape}")
-    num = (a * b).sum()
-    den = ((a * a).sum() ** 0.5) * ((b * b).sum() ** 0.5) + eps
-    return num / den
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -469,22 +453,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     return xc * ((var + eps) ** -0.5) * gain + bias
-
-
-def l1_mean(a: Tensor, b: Tensor) -> Tensor:
-    """Mean absolute elementwise difference."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"l1_mean shape mismatch: {a.shape} vs {b.shape}")
-    return (a - b).abs().mean()
-
-
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared elementwise difference."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mse shape mismatch: {a.shape} vs {b.shape}")
-    return ((a - b) ** 2).mean()
 
 
 # -- verification harness ---------------------------------------------------------

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -84,6 +85,11 @@ def _build_stores(args, manifest, clips, config):
     if args.prototypes:
         language_store = ProtoStore.load(args.prototypes, kind="language",
                                          class_names=manifest.class_names)
+        if language_store.tensor.shape != (config.num_classes, config.d):
+            raise DataError(
+                f"{args.prototypes}: {language_store.num_classes} prototypes of "
+                f"d={language_store.d}, but the dataset has "
+                f"{config.num_classes} classes of d={config.d}")
     needs = (config.toggles.pa or config.toggles.sem
              or config.toggles.use_language_as_visual)
     visual_store = None
@@ -165,9 +171,27 @@ def _metric_rows(preds, metric_names):
     return rows
 
 
+def _check_compatible(config: ModelConfig, manifest, clips):
+    """Raise DataError naming both sides when a checkpoint's model cannot
+    take the dataset's clips."""
+    if not clips:
+        raise DataError("dataset has no clips")
+    _, tokens, d = clips[0][0].shape
+    pairs = [("classes", config.num_classes, manifest.num_classes),
+             ("frames per clip", config.frames, manifest.frames_per_clip),
+             ("feature dim d", config.d, d)]
+    if config.encoder.mode == "adapter":
+        pairs.append(("tokens per frame (adapter mode)", 1, tokens))
+    for what, model_side, data_side in pairs:
+        if model_side != data_side:
+            raise DataError(f"checkpoint has {what} {model_side}, dataset has "
+                            f"{data_side}")
+
+
 def _cmd_eval(args):
     model, _, _ = load_checkpoint(args.checkpoint)
     manifest, clips = load_dataset(args.manifest)
+    _check_compatible(model.config, manifest, clips)
     clip_ids = [rec.clip_id for rec in manifest.records]
     preds = evaluate.predict_dataset(model, clips, clip_ids)
     rows = _metric_rows(preds, args.metrics)
@@ -208,6 +232,9 @@ def _cmd_ensemble(args):
         weights = [1.0] * len(sets)
     if len(weights) != len(sets):
         raise ConfigError(f"{len(sets)} inputs but {len(weights)} weights")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ConfigError(
+            f"weights must be finite and non-negative, got {weights}")
     fused = evaluate.late_fuse(list(zip(sets, weights)))
     evaluate.write_predictions(args.out, fused)
     print(f"fused {len(sets)} sets -> {args.out}")
@@ -321,6 +348,9 @@ def main(argv=None):
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:       # missing file, a directory, ...; names the path
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

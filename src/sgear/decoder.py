@@ -35,8 +35,7 @@ class CausalDecoder:
         self.pos = Tensor(rng.normal(0.0, 0.02, (config.max_len, config.d)),
                           requires_grad=True)
         self.blocks = [
-            nn.TransformerBlock(config.d, config.heads, rng,
-                                mlp_hidden=config.mlp_hidden, causal=True)
+            nn.TransformerBlock(config.d, config.heads, rng, config.mlp_hidden)
             for _ in range(config.layers)
         ]
 

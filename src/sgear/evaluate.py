@@ -91,25 +91,6 @@ def late_fuse(weighted_sets):
     return fused
 
 
-# -- verb/noun marginalization ----------------------------------------------------
-
-def marginalize(preds, action_map, component):
-    """Collapse action scores through an action -> (verb, noun) map.
-
-    `action_map`: dict action index -> (verb index, noun index);
-    `component`: "verb" or "noun".
-    """
-    slot = {"verb": 0, "noun": 1}[component]
-    n_out = max(v[slot] for v in action_map.values()) + 1
-    out = []
-    for p in preds:
-        scores = np.zeros(n_out)
-        for action, parts in action_map.items():
-            scores[parts[slot]] += p.scores[action]
-        out.append(Prediction(p.clip_id, scores, action_map[p.truth][slot]))
-    return out
-
-
 # -- model evaluation ----------------------------------------------------------------
 
 # Clips per `predict` call in the sweeps; bounds the stacked arrays' memory.
@@ -203,9 +184,10 @@ def read_predictions(path):
     for ln in lines[1:]:
         obj = json.loads(ln)
         scores = np.asarray(obj["scores"])
-        if abs(scores.sum() - 1.0) > 1e-6:
+        total = scores.sum()
+        if not abs(total - 1.0) <= 1e-6:      # NaN and inf fail too
             raise FormatError(
-                f"{path}: clip {obj['clip_id']} scores sum to {scores.sum()}")
+                f"{path}: clip {obj['clip_id']} scores sum to {total}")
         preds.append(Prediction(obj["clip_id"], scores, obj["truth"]))
     return preds
 

@@ -23,7 +23,7 @@ from . import nn
 from . import semantic
 from .autodiff import Tensor
 from .decoder import CausalDecoder, DecoderConfig
-from .encoder import ClipFeatures, EncoderConfig, build_encoder
+from .encoder import EncoderConfig, build_encoder
 from .errors import ConfigError, ShapeError
 from .pa import PaBlock
 from .semantic import (CosineHead, LanguageTargets, LinearHead, LossWeights,
@@ -58,7 +58,6 @@ class ModelConfig:
     n_tca: int = 2
     tca_heads: int = 2
     pa_k: int = 1
-    pa_scale: str = "d"
     decoder: DecoderConfig = None
     toggles: Toggles = field(default_factory=Toggles)
     subset_ratio: float = 1.0
@@ -109,8 +108,7 @@ class SgearModel:
         self.tca = (TcaStack(config.d, config.tca_heads, config.frames, rng,
                              n_blocks=config.n_tca)
                     if toggles.tca else None)
-        self.pa = (PaBlock(config.d, config.frames, rng, k=config.pa_k,
-                           scale=config.pa_scale)
+        self.pa = (PaBlock(config.d, config.frames, rng, k=config.pa_k)
                    if toggles.pa else None)
         self.decoder = CausalDecoder(config.decoder, rng)
         self.use_cosine_head = needs_protos
@@ -125,15 +123,15 @@ class SgearModel:
 
     def encode_merge(self, inputs):
         """Run encoder, temporal aggregation and prototype attention;
-        returns the (..., T, d) merged stream, one per clip."""
-        feats = inputs if isinstance(inputs, ClipFeatures) else self.encoder(inputs)
-        if feats.shape[-3] != self.config.frames:
+        returns the (..., T, d) merged stream, one per clip. Token 0 of each
+        frame is its class token."""
+        tokens = self.encoder(inputs)
+        if tokens.shape[-3] != self.config.frames:
             raise ShapeError(f"model sized for T={self.config.frames}, got "
-                             f"T={feats.shape[-3]}")
-        cls_causal = (self.tca(feats.tokens)[..., 0, :] if self.tca is not None
-                      else feats.cls_view)
+                             f"T={tokens.shape[-3]}")
+        cls_causal = (self.tca(tokens) if self.tca is not None else tokens)[..., 0, :]
         if self.pa is not None:
-            fused, _ = self.pa(feats.cls_view, self.visual_store.tensor)
+            fused = self.pa(tokens[..., 0, :], self.visual_store.tensor)
             return self.pa.merge(cls_causal, fused)
         return cls_causal
 

@@ -37,24 +37,19 @@ def cosine_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 class Linear:
     """Affine map in_dim -> out_dim; weight stored (in, out)."""
 
-    def __init__(self, in_dim, out_dim, rng, std=0.02, bias=True):
-        self.w = Tensor(rng.normal(0.0, std, (in_dim, out_dim)), requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim), requires_grad=True) if bias else None
+    def __init__(self, in_dim, out_dim, rng):
+        self.w = Tensor(rng.normal(0.0, 0.02, (in_dim, out_dim)), requires_grad=True)
+        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         flat = x.ndim == 1
         if flat:
             x = x.reshape(1, -1)
-        y = ad.matmul(x, self.w)
-        if self.b is not None:
-            y = y + self.b
+        y = ad.matmul(x, self.w) + self.b
         return y.reshape(-1) if flat else y
 
     def parameters(self):
-        p = {"w": self.w}
-        if self.b is not None:
-            p["b"] = self.b
-        return p
+        return {"w": self.w, "b": self.b}
 
 
 class LayerNorm:
@@ -97,15 +92,15 @@ def join_heads(x: Tensor) -> Tensor:
 
 
 class SelfAttention:
-    """Multi-head self-attention over token sequences (..., N, d), optionally
-    causal; leading axes are independent sequences."""
+    """Causal multi-head self-attention over token sequences (..., N, d):
+    position i attends to positions <= i; leading axes are independent
+    sequences."""
 
-    def __init__(self, dim, heads, rng, causal=False):
+    def __init__(self, dim, heads, rng):
         if dim % heads != 0:
             raise ConfigError(f"heads ({heads}) must divide dim ({dim})")
         self.heads = heads
         self.dim = dim
-        self.causal = causal
         self.wq = Linear(dim, dim, rng)
         self.wk = Linear(dim, dim, rng)
         self.wv = Linear(dim, dim, rng)
@@ -119,9 +114,7 @@ class SelfAttention:
         k = split_heads(self.wk(x), self.heads)
         v = split_heads(self.wv(x), self.heads)
         scores = ad.matmul(q, k.mT) * (1.0 / np.sqrt(self.dim))
-        if self.causal:
-            mask = np.triu(np.full((n, n), -1e30), k=1)
-            scores = scores + Tensor(mask)
+        scores = scores + Tensor(np.triu(np.full((n, n), -1e30), k=1))
         attn = ad.softmax(scores, axis=-1)
         return self.wo(join_heads(ad.matmul(attn, v)))
 
@@ -133,13 +126,13 @@ class SelfAttention:
 
 
 class TransformerBlock:
-    """Pre-norm block: x + attn(ln(x)), then x + mlp(ln(x))."""
+    """Pre-norm causal block: x + attn(ln(x)), then x + mlp(ln(x))."""
 
-    def __init__(self, dim, heads, rng, mlp_hidden=None, causal=False):
+    def __init__(self, dim, heads, rng, mlp_hidden):
         self.ln1 = LayerNorm(dim)
-        self.attn = SelfAttention(dim, heads, rng, causal=causal)
+        self.attn = SelfAttention(dim, heads, rng)
         self.ln2 = LayerNorm(dim)
-        self.mlp = Mlp(dim, mlp_hidden or 4 * dim, rng)
+        self.mlp = Mlp(dim, mlp_hidden, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))

@@ -25,15 +25,12 @@ def frame_relative_repr(cls_stream, protos) -> np.ndarray:
 
 def select_prototypes(sims: np.ndarray, k: int):
     """Top-k prototype indices per frame of (..., T, K) similarities, ties
-    broken by lower index.
-
-    Returns (per_frame lists, (..., T*k) index array in frame order).
-    """
+    broken by lower index, as one (..., T*k) index array in frame order."""
     num_protos = sims.shape[-1]
     if not 1 <= k <= num_protos:
         raise ConfigError(f"k={k} must be in [1, {num_protos}]")
     top = np.argsort(-sims, axis=-1, kind="stable")[..., :k]   # lower index wins ties
-    return top.tolist(), top.reshape(*top.shape[:-2], -1)
+    return top.reshape(*top.shape[:-2], -1)
 
 
 def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:
@@ -50,21 +47,14 @@ def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:
 
 
 def pa_fuse(queries: Tensor, keys: Tensor, values: Tensor, delta: Tensor,
-            beta: Tensor, scale: str = "d") -> Tensor:
+            beta: Tensor) -> Tensor:
     """Mix cosine-style attention with the temporal-order matrix:
-    (sigmoid(beta) * softmax(QK^T / d) + (1 - sigmoid(beta)) * delta) V.
-
-    `scale` selects the attention divisor: "d" (as specified) or "sqrt_d".
-    """
+    (sigmoid(beta) * softmax(QK^T / d) + (1 - sigmoid(beta)) * delta) V."""
     if queries.shape[-1] != keys.shape[-1]:
         raise ShapeError(f"query dim {queries.shape} vs key dim {keys.shape}")
     if keys.shape[-2] != values.shape[-2]:
         raise ShapeError("keys and values must have the same sequence length")
-    d = queries.shape[-1]
-    div = float(d) if scale == "d" else float(np.sqrt(d))
-    if scale not in ("d", "sqrt_d"):
-        raise ConfigError(f"unknown pa scale '{scale}'")
-    scores = ad.matmul(queries, keys.mT) * (1.0 / div)
+    scores = ad.matmul(queries, keys.mT) * (1.0 / float(queries.shape[-1]))
     gate = ad.sigmoid(beta)
     mixed = gate * ad.softmax(scores, axis=-1) + (1.0 - gate) * delta
     return ad.matmul(mixed, values)
@@ -85,11 +75,10 @@ class PaBlock:
     flow into the selected prototypes' key/value projections.
     """
 
-    def __init__(self, dim, frames, rng, k=1, scale="d"):
+    def __init__(self, dim, frames, rng, k=1):
         self.dim = dim
         self.frames = frames
         self.k = k
-        self.scale = scale
         self.m = frames * k
         self.wq = nn.Linear(dim, dim, rng)
         self.wk = nn.Linear(dim, dim, rng)
@@ -101,23 +90,21 @@ class PaBlock:
         self.beta = Tensor(np.asarray(0.0), requires_grad=True)
         self.lam = Tensor(np.asarray(0.0), requires_grad=True)
 
-    def __call__(self, cls_stream: Tensor, protos: Tensor):
-        """cls_stream: (..., T, d) raw class tokens; protos: (K, d).
-
-        Returns (fused (..., T, d), per-frame selected index lists).
-        """
+    def __call__(self, cls_stream: Tensor, protos: Tensor) -> Tensor:
+        """cls_stream: (..., T, d) raw class tokens; protos: (K, d) -> the
+        fused (..., T, d) stream."""
         if cls_stream.shape[-2:] != (self.frames, self.dim):
             raise ShapeError(f"PA expects (..., {self.frames}, {self.dim}), got "
                              f"{cls_stream.shape}")
         sims = frame_relative_repr(cls_stream, protos)
-        per_frame, flat = select_prototypes(sims, self.k)
-        flat = ad.frozen_choice(flat)     # held fixed under grad_check probes
+        # the choice is held fixed under grad_check probes
+        flat = ad.frozen_choice(select_prototypes(sims, self.k))
         selected = protos[flat]                       # (..., m, d), frame order
         # one Toeplitz matrix, shared by every clip
         delta = build_toeplitz(self.toe_weights, self.frames, self.m)
         fused = pa_fuse(self.wq(cls_stream), self.wk(selected),
-                        self.wv(selected), delta, self.beta, scale=self.scale)
-        return self.wo(fused), per_frame
+                        self.wv(selected), delta, self.beta)
+        return self.wo(fused)
 
     def merge(self, causal_cls: Tensor, fused: Tensor) -> Tensor:
         return merge(causal_cls, fused, self.lam)

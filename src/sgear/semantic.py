@@ -247,8 +247,9 @@ def loss_cls(logits: Tensor, y) -> Tensor:
 
 
 def loss_feat(future: Tensor, merged: Tensor):
-    """Sum over t < T-1 of mse(future_t, detach(merged_{t+1})), in one pass:
-    ((future[:-1] - merged[1:])^2).sum() / d. 0 with a flag for T=1.
+    """Sum over t < T-1 of the mean squared error between future_t and
+    detach(merged_{t+1}), in one pass: ((future[:-1] - merged[1:])^2).sum() / d.
+    0 with a flag for T=1.
 
     (..., T, d) streams give one value per leading index (per clip)."""
     if merged.shape != future.shape:

@@ -19,6 +19,8 @@ from .model import ModelConfig, SgearModel, config_from_dict, config_to_dict
 from .semantic import LossWeights, ProtoStore
 
 CHECKPOINT_MAGIC = b"SGCK"
+# 2: the encoder config holds only its mode and d
+CHECKPOINT_VERSION = 2
 _HEADER_KEYS = {"arrays", "config", "step", "visual_frozen"}
 
 
@@ -321,7 +323,7 @@ def save_checkpoint(path, model: SgearModel, optimizer=None, step=0):
             arrays[f"opt.{name}"] = np.asarray(arr)
     arrays = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
     header = {
-        "version": 1,
+        "version": CHECKPOINT_VERSION,
         "step": step,
         "config": config_to_dict(model.config),
         "visual_frozen": (model.visual_store.frozen
@@ -331,7 +333,7 @@ def save_checkpoint(path, model: SgearModel, optimizer=None, step=0):
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", 1, len(blob)))
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
         for v in arrays.values():
             fh.write(v.tobytes())
@@ -348,7 +350,7 @@ def load_checkpoint(path):
             raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
         version, hlen = struct.unpack(
             "<II", dataio._read_exact(fh, 8, 4, "header length"))
-        if version != 1:
+        if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}",
                               offset=4)
         blob = dataio._read_exact(fh, hlen, 12, "header")

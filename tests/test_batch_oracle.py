@@ -254,20 +254,18 @@ def test_no_grad_builds_no_graph_and_restores():
 def test_encoders_take_a_clip_axis():
     """A (B, T, ...) batch encodes to the stack of its clips' encodings."""
     rng = np.random.default_rng(17)
-    vit = build_encoder(EncoderConfig(mode="vit-lite", d=8, patch_size=8,
-                                      depth=1, heads=2, input_size=16), rng)
-    frames = rng.normal(size=(3, 2, 16, 16))
-    got = vit(frames).tokens.data
-    assert got.shape == (3, 2, 5, 8)
-    for b in range(3):
-        assert np.array_equal(got[b], vit(list(frames[b])).tokens.data)
-
     adapter = build_encoder(EncoderConfig(mode="adapter", d=8), rng)
     adapter.set_prototype_stats(rng.normal(size=8), rng.uniform(0.5, 2.0, 8))
     feats = rng.normal(size=(3, 4, 1, 8))
-    got = adapter(feats).tokens.data
+    got = adapter(feats).data
     for b in range(3):
-        assert np.array_equal(got[b], adapter(feats[b, :, 0, :]).tokens.data)
+        assert np.array_equal(got[b], adapter(feats[b, :, 0, :]).data)
+
+    passthrough = build_encoder(EncoderConfig(mode="passthrough", d=8), rng)
+    feats = rng.normal(size=(3, 4, 2, 8))
+    got = passthrough(feats).data
+    for b in range(3):
+        assert np.array_equal(got[b], passthrough(feats[b]).data)
 
 
 # -- batched predict and sweeps -------------------------------------------------------

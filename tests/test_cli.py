@@ -159,19 +159,21 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize("key", ["arrays", "config", "step", "visual_frozen",
-                                     "config.decoder", "config.encoder.mode"])
+                                     "config.decoder", "config.encoder.mode",
+                                     "config.encoder.mode:vit-lite"])
     def test_checkpoint_header_without_key_is_3(self, workspace, tmp_path,
                                                  capsys, key):
         root, data, ckpt = workspace
         raw = ckpt.read_bytes()
         (hlen,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + hlen])
+        key, _, mode = key.partition(":")
         *path, last = key.split(".")
         node = header
         for part in path:
             node = node[part]
         if last == "mode":
-            node[last] = "nope"      # a config the model rejects
+            node[last] = mode or "nope"      # a mode the model rejects
         else:
             del node[last]
         blob = json.dumps(header).encode()
@@ -224,3 +226,94 @@ class TestExitCodes:
                      "--preset", "desk", "--epochs", "1", "--setting", "full"])
         assert code == 3
         assert "clip_00002" in capsys.readouterr().err
+
+    def test_version_1_checkpoint_is_3(self, workspace, tmp_path, capsys):
+        root, data, ckpt = workspace
+        raw = ckpt.read_bytes()
+        bad = tmp_path / "v1.sgck"
+        bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        code = main(["eval", "--checkpoint", str(bad),
+                     "--manifest", str(data / "manifest.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "version 1" in err and "byte offset 4" in err
+
+    @pytest.mark.parametrize("target", ["missing checkpoint", "directory",
+                                        "missing manifest"])
+    def test_unreadable_path_is_3(self, workspace, tmp_path, capsys, target):
+        root, data, ckpt = workspace
+        manifest = data / "manifest.jsonl"
+        bad = {"missing checkpoint": tmp_path / "none.sgck",
+               "directory": tmp_path,
+               "missing manifest": tmp_path / "none.jsonl"}[target]
+        if target == "missing manifest":
+            manifest = bad
+        else:
+            ckpt = bad
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(manifest)])
+        assert code == 3
+        assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, what", [
+        ("--classes", "9", "classes 6, dataset has 9"),
+        ("--frames", "3", "frames per clip 4, dataset has 3"),
+        ("--dim", "8", "feature dim d 12, dataset has 8"),
+    ])
+    def test_eval_on_mismatched_dataset_is_3(self, workspace, tmp_path, capsys,
+                                             flag, value, what):
+        """The workspace checkpoint is K=6, T=4, d=12; a dataset that differs
+        in one of them is refused before any prediction."""
+        root, data, ckpt = workspace
+        other = tmp_path / "other"
+        args = {"--classes": "6", "--frames": "4", "--dim": "12"}
+        args[flag] = value
+        assert main(["synth", "--out", str(other), "--clips", "4",
+                     "--tokens", "2", "--seed", "3",
+                     *[item for pair in args.items() for item in pair]]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(other / "manifest.jsonl")])
+        assert code == 3
+        assert f"checkpoint has {what}" in capsys.readouterr().err
+
+    def test_adapter_checkpoint_on_multi_token_data_is_3(self, tmp_path, capsys):
+        common = ["--classes", "4", "--frames", "3", "--dim", "8", "--clips",
+                  "4", "--seed", "2"]
+        single, multi = tmp_path / "single", tmp_path / "multi"
+        assert main(["synth", "--out", str(single), "--tokens", "1", *common]) == 0
+        assert main(["synth", "--out", str(multi), "--tokens", "2", *common]) == 0
+        ckpt = tmp_path / "adapter.sgck"
+        assert main(["train", "--manifest", str(single / "manifest.jsonl"),
+                     "--prototypes", str(single / "language_prototypes.sglp"),
+                     "--checkpoint", str(ckpt), "--preset", "desk",
+                     "--epochs", "1", "--setting", "4"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--manifest", str(multi / "manifest.jsonl")])
+        assert code == 3
+        assert ("checkpoint has tokens per frame (adapter mode) 1, dataset has 2"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("shape", [(5, 12), (6, 8)])
+    def test_train_with_mismatched_prototypes_is_3(self, workspace, tmp_path,
+                                                   capsys, shape):
+        root, data, ckpt = workspace
+        protos = tmp_path / "other.sglp"
+        dataio.write_prototype_file(protos, np.ones(shape))
+        code = main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(protos),
+                     "--checkpoint", str(tmp_path / "x.sgck"),
+                     "--preset", "desk", "--epochs", "1", "--setting", "full"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert (f"{shape[0]} prototypes of d={shape[1]}, but the dataset has "
+                f"6 classes of d=12") in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+    def test_ensemble_bad_weight_is_2(self, workspace, weight):
+        root, data, ckpt = workspace
+        preds = root / "preds.jsonl"
+        code = main(["ensemble", "--inputs", str(preds), str(preds),
+                     "--weights", "1.0", weight, "--out", str(root / "no.jsonl")])
+        assert code == 2

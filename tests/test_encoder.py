@@ -1,70 +1,11 @@
-"""Patchify, the tiny per-frame ViT, the feature adapter and passthrough."""
+"""The feature adapter and the passthrough encoder."""
 
 import numpy as np
 import pytest
 
-from sgear.autodiff import Tensor
 from sgear.encoder import (EncoderConfig, FeatureAdapter, PassthroughEncoder,
-                           VitLiteEncoder, build_encoder, patchify)
+                           build_encoder)
 from sgear.errors import ConfigError, ShapeError
-
-
-class TestPatchify:
-    def test_224_by_224(self):
-        frame = np.zeros((224, 224))
-        assert patchify(frame, 16).shape == (196, 256)
-
-    def test_single_patch(self):
-        frame = np.arange(256, dtype=float).reshape(16, 16)
-        patches = patchify(frame, 16)
-        assert patches.shape == (1, 256)
-        assert np.array_equal(patches[0], frame.reshape(-1))
-
-    def test_row_major_order(self):
-        frame = np.zeros((32, 16))
-        frame[:16] = 1.0     # top patch
-        patches = patchify(frame, 16)
-        assert patches.shape == (2, 256)
-        assert np.all(patches[0] == 1.0) and np.all(patches[1] == 0.0)
-
-    def test_indivisible(self):
-        with pytest.raises(ShapeError):
-            patchify(np.zeros((20, 16)), 16)
-
-
-def vit_config(depth=1):
-    return EncoderConfig(mode="vit-lite", d=16, patch_size=16, depth=depth,
-                         heads=2, input_size=32)
-
-
-class TestVitLite:
-    def test_shape_contract(self):
-        rng = np.random.default_rng(0)
-        enc = VitLiteEncoder(vit_config(), rng)
-        out = enc([rng.normal(size=(32, 32))])
-        assert out.shape == (1, 5, 16)   # 4 patches + class token
-
-    def test_frame_permutation_equivariance(self):
-        rng = np.random.default_rng(1)
-        enc = VitLiteEncoder(vit_config(), rng)
-        frames = [rng.normal(size=(32, 32)) for _ in range(3)]
-        out = enc(frames).tokens.data
-        perm = enc([frames[2], frames[0], frames[1]]).tokens.data
-        assert np.array_equal(perm, out[[2, 0, 1]])
-
-    def test_zero_depth_closed_form(self):
-        rng = np.random.default_rng(2)
-        enc = VitLiteEncoder(vit_config(depth=0), rng)
-        frame = rng.normal(size=(32, 32))
-        out = enc([frame]).tokens.data[0]
-        patches = patchify(frame, 16)
-        embedded = patches @ enc.embed.w.data + enc.embed.b.data
-        expect = np.vstack([enc.cls_token.data, embedded]) + enc.pos.data
-        assert np.abs(out - expect).max() < 1e-12
-
-    def test_invalid_patch_config(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(mode="vit-lite", input_size=30, patch_size=16)
 
 
 class TestFeatureAdapter:
@@ -86,7 +27,7 @@ class TestFeatureAdapter:
         adapter = self._adapter()
         mu = np.arange(6, dtype=float)
         adapter.set_prototype_stats(mu, np.ones(6))
-        out = adapter(np.tile(mu, (3, 1))).tokens.data
+        out = adapter(np.tile(mu, (3, 1))).data
         assert np.abs(out).max() < 1e-12
 
     def test_unit_sigma(self):
@@ -94,7 +35,7 @@ class TestFeatureAdapter:
         mu = np.full(6, 2.0)
         adapter.set_prototype_stats(mu, np.ones(6))
         x = np.random.default_rng(4).normal(size=(2, 6))
-        out = adapter(x).tokens.data[:, 0, :]
+        out = adapter(x).data[:, 0, :]
         assert np.abs(out - (x - mu)).max() < 1e-12
 
     def test_statistics_oracle(self):
@@ -104,14 +45,14 @@ class TestFeatureAdapter:
         adapter = self._adapter()
         adapter.set_prototype_stats(mu, sigma)
         x = rng.normal(size=(4, 6))
-        out = adapter(x).tokens.data[:, 0, :]
+        out = adapter(x).data[:, 0, :]
         expect = (x - protos.mean(axis=0)) / np.maximum(protos.std(axis=0), 1e-6)
         assert np.abs(out - expect).max() < 1e-6
 
     def test_sigma_floor(self):
         adapter = self._adapter()
         adapter.set_prototype_stats(np.zeros(6), np.zeros(6))
-        out = adapter(np.full((1, 6), 1e-6)).tokens.data
+        out = adapter(np.full((1, 6), 1e-6)).data
         assert np.all(np.isfinite(out)) and np.abs(out - 1.0).max() < 1e-9
 
     def test_output_shape(self):
@@ -125,15 +66,9 @@ class TestPassthrough:
         rng = np.random.default_rng(6)
         enc = PassthroughEncoder(EncoderConfig(mode="passthrough", d=8), rng)
         x = rng.normal(size=(3, 2, 8))
-        out = enc(x).tokens.data
+        out = enc(x).data
         # initialization is identity plus small noise
         assert np.abs(out - x).max() < 0.5
-
-    def test_cls_view(self):
-        rng = np.random.default_rng(7)
-        enc = PassthroughEncoder(EncoderConfig(mode="passthrough", d=8), rng)
-        feats = enc(rng.normal(size=(3, 2, 8)))
-        assert np.array_equal(feats.cls_view.data, feats.tokens.data[:, 0, :])
 
     def test_rejects_wrong_rank(self):
         rng = np.random.default_rng(8)
@@ -144,11 +79,11 @@ class TestPassthrough:
 
 def test_build_encoder_dispatch():
     rng = np.random.default_rng(9)
-    assert isinstance(build_encoder(vit_config(), rng), VitLiteEncoder)
     assert isinstance(build_encoder(EncoderConfig(mode="adapter", d=4), rng),
                       FeatureAdapter)
     assert isinstance(
         build_encoder(EncoderConfig(mode="passthrough", d=4), rng),
         PassthroughEncoder)
-    with pytest.raises(ConfigError):
-        EncoderConfig(mode="nope", d=4)
+    for mode in ("nope", "vit-lite"):
+        with pytest.raises(ConfigError):
+            EncoderConfig(mode=mode, d=4)

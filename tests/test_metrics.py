@@ -1,5 +1,5 @@
-"""Metrics against brute-force oracles, fusion, marginalization, sweeps and
-prediction-file serialization."""
+"""Metrics against brute-force oracles, fusion, sweeps and prediction-file
+serialization."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from sgear import evaluate
 from sgear.errors import ConfigError, EvalError, FormatError
 from sgear.evaluate import (ENSEMBLE_PRESETS, Prediction,
-                            class_mean_top5_recall, late_fuse, marginalize,
+                            class_mean_top5_recall, late_fuse,
                             read_predictions, topk_accuracy, write_csv,
                             write_predictions)
 
@@ -159,17 +159,6 @@ class TestLateFuse:
         assert ENSEMBLE_PRESETS["ek55"] == [1.5, 1.5, 1.5, 1.0, 1.0]
 
 
-class TestMarginalize:
-    def test_verb_and_noun_sums(self):
-        action_map = {0: (0, 0), 1: (0, 1), 2: (1, 1)}
-        preds = [Prediction("x", np.array([0.5, 0.3, 0.2]), 1)]
-        verbs = marginalize(preds, action_map, "verb")
-        nouns = marginalize(preds, action_map, "noun")
-        assert np.abs(verbs[0].scores - [0.8, 0.2]).max() < 1e-12
-        assert np.abs(nouns[0].scores - [0.5, 0.5]).max() < 1e-12
-        assert verbs[0].truth == 0 and nouns[0].truth == 1
-
-
 class TestPredictionFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -188,6 +177,13 @@ class TestPredictionFiles:
             '{"format": "sgear-predictions", "version": 1, "K": 2}\n'
             '{"clip_id": "x", "truth": 0, "scores": [0.9, 0.9]}\n')
         with pytest.raises(FormatError, match="sum"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scores(self, tmp_path, bad):
+        path = tmp_path / "p.jsonl"
+        write_predictions(path, [Prediction("a", np.array([bad, 0.0]), 0)])
+        with pytest.raises(FormatError):
             read_predictions(path)
 
     def test_rejects_wrong_format(self, tmp_path):

@@ -38,21 +38,17 @@ class TestFrameRelativeRepr:
 
 class TestSelectPrototypes:
     def test_argmax(self):
-        per_frame, flat = select_prototypes(np.array([[0.1, 0.9, 0.3]]), 1)
-        assert per_frame == [[1]] and list(flat) == [1]
+        assert list(select_prototypes(np.array([[0.1, 0.9, 0.3]]), 1)) == [1]
 
     def test_tie_lower_index_wins(self):
-        per_frame, _ = select_prototypes(np.array([[0.5, 0.5]]), 1)
-        assert per_frame == [[0]]
+        assert list(select_prototypes(np.array([[0.5, 0.5]]), 1)) == [0]
 
     def test_top2_sort_oracle(self):
-        per_frame, flat = select_prototypes(np.array([[0.1, 0.9, 0.3]]), 2)
-        assert per_frame == [[1, 2]] and list(flat) == [1, 2]
+        assert list(select_prototypes(np.array([[0.1, 0.9, 0.3]]), 2)) == [1, 2]
 
     def test_frame_order_preserved(self):
         sims = np.array([[0.9, 0.0], [0.0, 0.9]])
-        _, flat = select_prototypes(sims, 1)
-        assert list(flat) == [0, 1]
+        assert list(select_prototypes(sims, 1)) == [0, 1]
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -132,16 +128,6 @@ class TestPaFuse:
         assert np.abs(got - expect).max() < 1e-12
         assert np.abs(soft.sum(axis=-1) - 1.0).max() < 1e-9
 
-    def test_scale_flag(self):
-        rng = np.random.default_rng(6)
-        q, kv = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))
-        delta = Tensor(np.zeros((2, 2)))
-        a = pa_fuse(q, kv, kv, delta, Tensor(1000.0), scale="d").data
-        b = pa_fuse(q, kv, kv, delta, Tensor(1000.0), scale="sqrt_d").data
-        assert np.abs(a - b).max() > 1e-9
-        with pytest.raises(ConfigError):
-            pa_fuse(q, kv, kv, delta, Tensor(0.0), scale="cube")
-
 
 class TestMerge:
     def test_full_causal_side(self):
@@ -180,17 +166,16 @@ class TestPaBlock:
 
     def test_output_shape_and_selection(self):
         block, cls_stream, protos = self._setup()
-        fused, per_frame = block(cls_stream, protos)
-        assert fused.shape == (3, 8)
-        assert len(per_frame) == 3 and all(len(row) == 1 for row in per_frame)
+        assert block(cls_stream, protos).shape == (3, 8)
+        flat = select_prototypes(frame_relative_repr(cls_stream, protos), block.k)
+        assert flat.shape == (3,)
 
     def test_grad_check_fuse_and_merge(self):
         block, cls_stream, protos = self._setup(t_len=2, d=4)
         causal = Tensor(np.random.default_rng(10).normal(size=(2, 4)))
         params = list(block.parameters().values()) + [protos]
         def f():
-            fused, _ = block(cls_stream, protos)
-            return block.merge(causal, fused).sum()
+            return block.merge(causal, block(cls_stream, protos)).sum()
         assert ad.grad_check(f, params) < 1e-5
 
     def test_gates_initialized_to_half(self):
