@@ -332,18 +332,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def stack(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = _make(np.stack([t.data for t in tensors], axis=axis), tensors, "stack")
-    if out.requires_grad:
-        def back(g):
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t._accum(np.take(g, i, axis=axis))
-        out._backward = back
-    return out
-
-
 def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
     """(T, T) lower-triangular decay matrix, M[t, s] = prod(alpha[s:t]) for
     s <= t (ones on the diagonal), so M @ x runs the recurrence

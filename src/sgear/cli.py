@@ -61,6 +61,8 @@ def _cmd_synth(args):
 
 
 def _model_config_for(manifest_path, manifest, setting, args):
+    if not manifest.records:
+        raise DataError(f"{manifest_path}: dataset has no clips")
     feats = dataio.load_clip_features(manifest_path, manifest.records[0])
     _, tokens, d = feats.shape
     toggles = TABLE3_SETTINGS[setting]
@@ -274,6 +276,22 @@ def _cmd_analyze(args):
     return 0
 
 
+def _checked(convert, ok, need):
+    """argparse type: `convert`, then exit 2 unless the value is `need`."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+    parse.__name__ = convert.__name__      # argparse's "invalid int value"
+    return parse
+
+
+COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+FINITE = _checked(float, math.isfinite, "finite")
+SHARE = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="sgear")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,15 +299,15 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, default=12)
-    p.add_argument("--frames", type=int, default=8)
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--clips", type=int, default=200)
-    p.add_argument("--tokens", type=int, default=2)
+    p.add_argument("--frames", type=COUNT, default=8)
+    p.add_argument("--dim", type=COUNT, default=16)
+    p.add_argument("--clips", type=COUNT, default=200)
+    p.add_argument("--tokens", type=COUNT, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--graph", choices=["uniform", "blocks", "chain"],
                    default="blocks")
-    p.add_argument("--blocks", type=int, default=2)
-    p.add_argument("--within", type=float, default=0.9)
+    p.add_argument("--blocks", type=COUNT, default=2)
+    p.add_argument("--within", type=SHARE, default=0.9)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a manifest")
@@ -302,9 +320,9 @@ def build_parser():
                    choices=sorted(TABLE3_SETTINGS))
     p.add_argument("--proto-init", default="class-mean",
                    choices=["random", "class-mean", "recognition-mean"])
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", type=COUNT)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
+    p.add_argument("--batch-size", type=COUNT)
     p.add_argument("--ratio", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log-every", type=int, default=0)
@@ -314,7 +332,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--metrics", nargs="+", default=["top1", "top5", "recall5"])
-    p.add_argument("--tau", type=float, nargs="*")
+    p.add_argument("--tau", type=FINITE, nargs="*")
     p.add_argument("--ratios", type=float, nargs="*")
     p.add_argument("--csv-out")
     p.add_argument("--predictions-out")
@@ -336,7 +354,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse printed usage (exit 2) or help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

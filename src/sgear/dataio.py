@@ -100,35 +100,65 @@ def write_manifest(path, manifest: DatasetManifest):
             }) + "\n")
 
 
+def read_json_lines(path, what):
+    """The non-blank lines of a line-delimited JSON file as (1-based line
+    number, object) pairs. An empty file, or a line that is not a JSON
+    object, raises FormatError naming the path (and the line)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    rows = []
+    for lineno, line in enumerate(data.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.decode())
+        except ValueError as exc:          # bad UTF-8 or bad JSON
+            raise FormatError(f"{path}, line {lineno}: not valid JSON ({exc})") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}, line {lineno}: not a JSON object")
+        rows.append((lineno, obj))
+    if not rows:
+        raise FormatError(f"{path}: empty {what}")
+    return rows
+
+
+def field_error(path, lineno, exc):
+    """FormatError naming the path and line for the KeyError, TypeError or
+    ValueError that reading one line's fields raised."""
+    what = f"missing key {exc}" if isinstance(exc, KeyError) else f"bad field: {exc}"
+    return FormatError(f"{path}, line {lineno}: {what}")
+
+
 def read_manifest(path) -> DatasetManifest:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
+    rows = read_json_lines(path, "manifest")
+    lineno, header = rows[0]
     if header.get("format") != MANIFEST_FORMAT:
         raise FormatError(f"{path}: not a {MANIFEST_FORMAT} file")
     if header.get("version") != 1:
         raise FormatError(f"{path}: unsupported manifest version {header.get('version')}")
-    records = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        records.append(SegmentRecord(
-            clip_id=obj["clip_id"],
-            feature_path=obj["feature_path"],
-            start_time=obj["start_time"],
-            target_class=obj["target"],
-            labels=[tuple(lbl) for lbl in obj.get("labels", [])],
-        ))
-    manifest = DatasetManifest(
-        num_classes=header["K"],
-        class_names=header["class_names"],
-        tau_o=header["tau_o"],
-        tau_a=header["tau_a"],
-        fps=header["fps"],
-        records=records,
-    )
-    manifest.validate()
+    try:
+        manifest = DatasetManifest(
+            num_classes=header["K"],
+            class_names=header["class_names"],
+            tau_o=header["tau_o"],
+            tau_a=header["tau_a"],
+            fps=header["fps"],
+        )
+        manifest.validate()            # the header's fields; no records yet
+        for lineno, obj in rows[1:]:
+            rec = SegmentRecord(
+                clip_id=obj["clip_id"],
+                feature_path=obj["feature_path"],
+                start_time=obj["start_time"],
+                target_class=obj["target"],
+                labels=[tuple(lbl) for lbl in obj.get("labels", [])],
+            )
+            rec.validate(manifest.num_classes)
+            manifest.records.append(rec)
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise field_error(path, lineno, exc) from exc
     return manifest
 
 

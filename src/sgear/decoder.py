@@ -29,7 +29,7 @@ class DecoderConfig:
             raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
 
 
-class CausalDecoder:
+class CausalDecoder(nn.Module):
     def __init__(self, config: DecoderConfig, rng):
         self.config = config
         self.pos = Tensor(rng.normal(0.0, 0.02, (config.max_len, config.d)),
@@ -72,10 +72,3 @@ class CausalDecoder:
             x = ad.concat([x, future[..., -1:, :]], axis=-2)
             future = self.decode(x)
         return future
-
-    def parameters(self):
-        params = {"pos": self.pos}
-        for i, block in enumerate(self.blocks):
-            params = nn.merge_params(
-                params, nn.prefixed(f"block{i}", block.parameters()))
-        return params

@@ -31,7 +31,7 @@ class EncoderConfig:
             raise ConfigError(f"unknown encoder mode '{self.mode}'")
 
 
-class FeatureAdapter:
+class FeatureAdapter(nn.Module):
     """Map pre-extracted (T, d) features into the visual prototypes' range.
 
     I_t = (lin(x_t) - mu) / sigma with mu/sigma channelwise statistics over
@@ -88,11 +88,8 @@ class FeatureAdapter:
             raise ShapeError("adapter features must have a single token")
         return (self.lin(x) - self._mu) * self._inv_sigma
 
-    def parameters(self):
-        return nn.prefixed("lin", self.lin.parameters())
 
-
-class PassthroughEncoder:
+class PassthroughEncoder(nn.Module):
     """Learnable affine map over stored multi-token features."""
 
     def __init__(self, config: EncoderConfig, rng):
@@ -111,9 +108,6 @@ class PassthroughEncoder:
                 f"passthrough expects (..., T, tokens, {self.config.d}), got "
                 f"{x.shape}")
         return self.lin(x)
-
-    def parameters(self):
-        return nn.prefixed("lin", self.lin.parameters())
 
 
 def build_encoder(config: EncoderConfig, rng):

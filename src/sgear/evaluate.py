@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import semantic
+from . import dataio, semantic
 from .errors import ConfigError, EvalError, FormatError, ShapeError
 
 PREDICTIONS_FORMAT = "sgear-predictions"
@@ -173,22 +173,25 @@ def write_predictions(path, preds):
 
 
 def read_predictions(path):
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError(f"{path}: empty predictions file")
-    header = json.loads(lines[0])
+    rows = dataio.read_json_lines(path, "predictions file")
+    lineno, header = rows[0]
     if header.get("format") != PREDICTIONS_FORMAT:
         raise FormatError(f"{path}: not a {PREDICTIONS_FORMAT} file")
+    if len(rows) == 1:
+        raise FormatError(f"{path}: no predictions after the header")
     preds = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        scores = np.asarray(obj["scores"])
-        total = scores.sum()
-        if not abs(total - 1.0) <= 1e-6:      # NaN and inf fail too
-            raise FormatError(
-                f"{path}: clip {obj['clip_id']} scores sum to {total}")
-        preds.append(Prediction(obj["clip_id"], scores, obj["truth"]))
+    try:
+        for lineno, obj in rows[1:]:
+            scores = np.asarray(obj["scores"])
+            total = scores.sum()
+            if not abs(total - 1.0) <= 1e-6:      # NaN and inf fail too
+                raise FormatError(
+                    f"{path}: clip {obj['clip_id']} scores sum to {total}")
+            preds.append(Prediction(obj["clip_id"], scores, obj["truth"]))
+    except FormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise dataio.field_error(path, lineno, exc) from exc
     return preds
 
 

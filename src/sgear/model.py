@@ -77,7 +77,7 @@ class ModelConfig:
                 "tca toggle in adapter mode")
 
 
-class SgearModel:
+class SgearModel(nn.Module):
     def __init__(self, config: ModelConfig, visual_store: ProtoStore = None,
                  language_store: ProtoStore = None):
         self.config = config
@@ -243,21 +243,10 @@ class SgearModel:
     # -- registry ------------------------------------------------------------------
 
     def parameters(self):
-        params = nn.prefixed("encoder", self.encoder.parameters())
-        if self.tca is not None:
-            params = nn.merge_params(params,
-                                     nn.prefixed("tca", self.tca.parameters()))
-        if self.pa is not None:
-            params = nn.merge_params(params,
-                                     nn.prefixed("pa", self.pa.parameters()))
-        params = nn.merge_params(
-            params,
-            nn.prefixed("decoder", self.decoder.parameters()),
-            nn.prefixed("head", self.head.parameters()))
+        params = super().parameters()
         if (self.visual_store is not None
                 and self.visual_store.tensor.requires_grad):
-            params = nn.merge_params(
-                params, {"protos.visual": self.visual_store.tensor})
+            params["protos.visual"] = self.visual_store.tensor
         return params
 
     def effective_weights(self, weights: LossWeights) -> LossWeights:

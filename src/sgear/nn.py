@@ -1,7 +1,15 @@
 """Small neural-net building blocks on top of the autodiff tensors.
 
-Blocks expose their learnables through ``parameters()`` -> dict mapping a
-unique dotted name to a Tensor, so the trainer can own one flat registry.
+Every block with learnables subclasses `Module`, whose ``parameters()``
+returns a dict from a unique dotted name to a Tensor. It walks the block's
+attributes in the order ``__init__`` sets them:
+
+* a Tensor that requires grad is a leaf, named after its attribute;
+* a Module is a child, whose names get the attribute name as a prefix;
+* a list named ``blocks`` holds Modules, named ``block0``, ``block1``, ...
+
+Every other attribute (configs, stores, plain arrays, constant Tensors) is
+skipped. The names are the checkpoint contract, e.g. ``tca.block0.wq.w``.
 """
 
 from __future__ import annotations
@@ -13,18 +21,25 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 
-def prefixed(prefix: str, params: dict) -> dict:
-    return {f"{prefix}.{k}": v for k, v in params.items()}
+class Module:
+    """Base of every block with learnables; the module docstring gives the
+    naming rule of `parameters`."""
 
+    def parameters(self) -> dict:
+        params = {}
+        self._collect("", params)
+        return params
 
-def merge_params(*dicts) -> dict:
-    out = {}
-    for d in dicts:
-        for k, v in d.items():
-            if k in out:
-                raise ConfigError(f"duplicate parameter name '{k}'")
-            out[k] = v
-    return out
+    def _collect(self, prefix, params):
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                if value.requires_grad:
+                    params[prefix + name] = value
+            elif isinstance(value, Module):
+                value._collect(f"{prefix}{name}.", params)
+            elif name == "blocks":
+                for i, block in enumerate(value):
+                    block._collect(f"{prefix}block{i}.", params)
 
 
 def cosine_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -34,7 +49,7 @@ def cosine_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (x @ p.T) / (xn * pn.T + 1e-8)
 
 
-class Linear:
+class Linear(Module):
     """Affine map in_dim -> out_dim; weight stored (in, out)."""
 
     def __init__(self, in_dim, out_dim, rng):
@@ -48,11 +63,8 @@ class Linear:
         y = ad.matmul(x, self.w) + self.b
         return y.reshape(-1) if flat else y
 
-    def parameters(self):
-        return {"w": self.w, "b": self.b}
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim):
         self.gain = Tensor(np.ones(dim), requires_grad=True)
         self.bias = Tensor(np.zeros(dim), requires_grad=True)
@@ -60,11 +72,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.gain, self.bias)
 
-    def parameters(self):
-        return {"gain": self.gain, "bias": self.bias}
 
-
-class Mlp:
+class Mlp(Module):
     """Two-layer GELU MLP, the standard transformer feed-forward."""
 
     def __init__(self, dim, hidden, rng):
@@ -73,10 +82,6 @@ class Mlp:
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ad.gelu(self.fc1(x)))
-
-    def parameters(self):
-        return merge_params(prefixed("fc1", self.fc1.parameters()),
-                            prefixed("fc2", self.fc2.parameters()))
 
 
 def split_heads(x: Tensor, heads: int) -> Tensor:
@@ -91,7 +96,7 @@ def join_heads(x: Tensor) -> Tensor:
     return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
-class SelfAttention:
+class SelfAttention(Module):
     """Causal multi-head self-attention over token sequences (..., N, d):
     position i attends to positions <= i; leading axes are independent
     sequences."""
@@ -118,14 +123,8 @@ class SelfAttention:
         attn = ad.softmax(scores, axis=-1)
         return self.wo(join_heads(ad.matmul(attn, v)))
 
-    def parameters(self):
-        return merge_params(prefixed("wq", self.wq.parameters()),
-                            prefixed("wk", self.wk.parameters()),
-                            prefixed("wv", self.wv.parameters()),
-                            prefixed("wo", self.wo.parameters()))
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm causal block: x + attn(ln(x)), then x + mlp(ln(x))."""
 
     def __init__(self, dim, heads, rng, mlp_hidden):
@@ -137,9 +136,3 @@ class TransformerBlock:
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         return x + self.mlp(self.ln2(x))
-
-    def parameters(self):
-        return merge_params(prefixed("ln1", self.ln1.parameters()),
-                            prefixed("attn", self.attn.parameters()),
-                            prefixed("ln2", self.ln2.parameters()),
-                            prefixed("mlp", self.mlp.parameters()))

@@ -68,7 +68,7 @@ def merge(causal_cls: Tensor, fused: Tensor, lam: Tensor) -> Tensor:
     return gate * causal_cls + (1.0 - gate) * fused
 
 
-class PaBlock:
+class PaBlock(nn.Module):
     """Prototype attention over the raw class-token stream.
 
     Selection (top-k per frame) is hard and carries no gradient; gradients do
@@ -108,11 +108,3 @@ class PaBlock:
 
     def merge(self, causal_cls: Tensor, fused: Tensor) -> Tensor:
         return merge(causal_cls, fused, self.lam)
-
-    def parameters(self):
-        return nn.merge_params(
-            nn.prefixed("wq", self.wq.parameters()),
-            nn.prefixed("wk", self.wk.parameters()),
-            nn.prefixed("wv", self.wv.parameters()),
-            nn.prefixed("wo", self.wo.parameters()),
-            {"toe_weights": self.toe_weights, "beta": self.beta, "lam": self.lam})

@@ -55,9 +55,6 @@ class ProtoStore:
         self.frozen = True
         self.tensor.requires_grad = False
 
-    def save(self, path):
-        dataio.write_prototype_file(path, self.tensor.data)
-
     @classmethod
     def load(cls, path, kind, class_names=None, frozen=False):
         return cls(kind=kind, tensor=Tensor(read_protos(path)),
@@ -156,7 +153,7 @@ class LanguageTargets:
 
 # -- classification head -----------------------------------------------------------
 
-class CosineHead:
+class CosineHead(nn.Module):
     """Mix the decoder embedding with a similarity-weighted prototype
     aggregate, then project to class logits. Every method takes one
     embedding (d,) or a stack of them (n, d) and works row by row."""
@@ -180,12 +177,8 @@ class CosineHead:
         logits = self.w_cls(z_hat)
         return logits, ad.softmax(logits, axis=-1)
 
-    def parameters(self):
-        return nn.merge_params({"alpha": self.alpha},
-                               nn.prefixed("w_cls", self.w_cls.parameters()))
 
-
-class LinearHead:
+class LinearHead(nn.Module):
     """Plain linear classifier (the no-semantics baseline head)."""
 
     def __init__(self, d, num_classes, rng):
@@ -194,9 +187,6 @@ class LinearHead:
     def classify(self, z: Tensor):
         logits = self.w_cls(z)
         return logits, ad.softmax(logits, axis=-1)
-
-    def parameters(self):
-        return nn.prefixed("w_cls", self.w_cls.parameters())
 
 
 # -- losses ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ def aggregate_kv(seq: Tensor, alpha: Tensor) -> Tensor:
     return mixed.reshape(seq.shape)
 
 
-class TcaBlock:
+class TcaBlock(nn.Module):
     """One pre-norm block: aggregated-KV attention plus an MLP sub-block."""
 
     def __init__(self, dim, heads, frames, rng, mlp_ratio=4):
@@ -74,19 +74,8 @@ class TcaBlock:
         x = x + self.attention(self.ln1(x))
         return x + self.mlp(self.ln2(x))
 
-    def parameters(self):
-        return nn.merge_params(
-            nn.prefixed("wq", self.wq.parameters()),
-            nn.prefixed("wk", self.wk.parameters()),
-            nn.prefixed("wv", self.wv.parameters()),
-            nn.prefixed("wo", self.wo.parameters()),
-            {"alpha": self.alpha},
-            nn.prefixed("ln1", self.ln1.parameters()),
-            nn.prefixed("ln2", self.ln2.parameters()),
-            nn.prefixed("mlp", self.mlp.parameters()))
 
-
-class TcaStack:
+class TcaStack(nn.Module):
     """n stacked TCA blocks; each block owns an independent alpha vector."""
 
     def __init__(self, dim, heads, frames, rng, n_blocks=2, mlp_ratio=4):
@@ -97,10 +86,3 @@ class TcaStack:
         for block in self.blocks:
             x = block(x)
         return x
-
-    def parameters(self):
-        params = {}
-        for i, block in enumerate(self.blocks):
-            params = nn.merge_params(
-                params, nn.prefixed(f"block{i}", block.parameters()))
-        return params

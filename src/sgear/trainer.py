@@ -63,10 +63,6 @@ class Sgd:
     def state_arrays(self):
         return {f"velocity.{k}": v for k, v in self.velocity.items()}
 
-    def load_state_arrays(self, arrays):
-        for k in self.velocity:
-            self.velocity[k][...] = arrays[f"velocity.{k}"]
-
 
 class AdamW:
     """Adam with decoupled weight decay."""
@@ -102,12 +98,6 @@ class AdamW:
         out.update({f"m.{k}": v for k, v in self.m.items()})
         out.update({f"v.{k}": v for k, v in self.v.items()})
         return out
-
-    def load_state_arrays(self, arrays):
-        self.t = int(arrays["t"])
-        for k in self.m:
-            self.m[k][...] = arrays[f"m.{k}"]
-            self.v[k][...] = arrays[f"v.{k}"]
 
 
 def build_optimizer(name, params, config):

@@ -1,0 +1,217 @@
+"""Malformed inputs through `sgear.cli.main`: each ends in its documented exit
+code (2 config, 3 data or format), never in an exception escaping `main`.
+
+JSON inputs name the path and the 1-based line of the bad line; the binary
+truncations stay here as guards.
+"""
+
+import json
+
+import pytest
+
+from sgear.cli import main
+
+
+@pytest.fixture(scope="module")
+def ws(tmp_path_factory):
+    """A small dataset, a checkpoint trained on it and its predictions."""
+    root = tmp_path_factory.mktemp("malformed")
+    data = root / "data"
+    assert main(["synth", "--out", str(data), "--classes", "4", "--frames", "3",
+                 "--dim", "8", "--clips", "6", "--tokens", "2"]) == 0
+    ckpt = root / "model.sgck"
+    assert main(["train", "--manifest", str(data / "manifest.jsonl"),
+                 "--prototypes", str(data / "language_prototypes.sglp"),
+                 "--checkpoint", str(ckpt), "--epochs", "1"]) == 0
+    preds = root / "preds.jsonl"
+    assert main(["eval", "--checkpoint", str(ckpt), "--manifest",
+                 str(data / "manifest.jsonl"), "--predictions-out", str(preds)]) == 0
+    return root, data, ckpt, preds
+
+
+def edit_line(n, fn):
+    """Text edit: line n (0-based) parsed, changed by fn, written back."""
+    def edit(text):
+        lines = text.splitlines()
+        obj = json.loads(lines[n])
+        lines[n] = json.dumps(fn(obj))
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def set_key(n, key, value):
+    return edit_line(n, lambda obj: {**obj, key: value})
+
+
+def drop_key(n, key):
+    return edit_line(n, lambda obj: {k: v for k, v in obj.items() if k != key})
+
+
+def replace_line(n, raw):
+    def edit(text):
+        lines = text.splitlines()
+        lines[n] = raw
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def truncate(nbytes):
+    return lambda text: text[:-nbytes]
+
+
+def write(path, text):
+    """Text written as UTF-8, except that a U+FFFF becomes the byte 0xff,
+    which no UTF-8 text holds."""
+    path.write_bytes(text.encode().replace("\uffff".encode(), b"\xff"))
+
+
+# (id, edit of the manifest text, 1-based line the message must name)
+MANIFEST_CASES = [
+    ("truncated", truncate(20), 7),
+    ("header-not-object", replace_line(0, "[1, 2]"), 1),
+    ("record-not-object", replace_line(2, '"clip_00001"'), 3),
+    ("missing-K", drop_key(0, "K"), 1),
+    ("missing-fps", drop_key(0, "fps"), 1),
+    ("missing-clip-id", drop_key(1, "clip_id"), 2),
+    ("missing-target", drop_key(3, "target"), 4),
+    ("missing-feature-path", drop_key(1, "feature_path"), 2),
+    ("target-string", set_key(2, "target", "x"), 3),
+    ("target-null", set_key(2, "target", None), 3),
+    ("start-time-string", set_key(1, "start_time", "a"), 2),
+    ("fps-string", set_key(0, "fps", "1"), 1),
+    ("class-names-int", set_key(0, "class_names", 4), 1),
+    ("labels-not-list", set_key(1, "labels", 5), 2),
+    ("labels-wrong-arity", set_key(1, "labels", [[0.5, 1, 2]]), 2),
+    ("not-utf8", replace_line(4, '{"clip_id": "\uffff"}'), 5),
+]
+
+PREDICTION_CASES = [
+    ("truncated", truncate(30), 7),
+    ("header-not-object", replace_line(0, "[]"), 1),
+    ("record-not-object", replace_line(1, "3"), 2),
+    ("scores-string", set_key(2, "scores", "x"), 3),
+    ("scores-null", set_key(2, "scores", None), 3),
+    ("missing-truth", drop_key(4, "truth"), 5),
+    ("missing-scores", drop_key(1, "scores"), 2),
+    ("missing-clip-id", drop_key(1, "clip_id"), 2),
+    ("not-utf8", replace_line(3, '{"clip_id": "\uffff"}'), 4),
+]
+
+
+def run(argv, capsys):
+    """main's exit code and stderr; an exception escaping main fails."""
+    try:
+        code = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("case,edit,line", MANIFEST_CASES,
+                         ids=[c[0] for c in MANIFEST_CASES])
+def test_malformed_manifest(ws, tmp_path, capsys, command, case, edit, line):
+    root, data, ckpt, _ = ws
+    bad = data / f"{case}.jsonl"          # beside the clips it names
+    write(bad, edit((data / "manifest.jsonl").read_text()))
+    if command == "train":
+        argv = ["train", "--manifest", str(bad), "--checkpoint",
+                str(tmp_path / "m.sgck"), "--epochs", "1", "--setting", "3"]
+    else:
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(bad)]
+    code, err = run(argv, capsys)
+    assert code == 3
+    assert f"{bad}, line {line}:" in err
+
+
+@pytest.mark.parametrize("case,edit,line", PREDICTION_CASES,
+                         ids=[c[0] for c in PREDICTION_CASES])
+def test_malformed_predictions(ws, tmp_path, capsys, case, edit, line):
+    _, _, _, preds = ws
+    bad = tmp_path / "bad.jsonl"
+    write(bad, edit(preds.read_text()))
+    code, err = run(["ensemble", "--inputs", str(preds), str(bad),
+                     "--out", str(tmp_path / "fused.jsonl")], capsys)
+    assert code == 3
+    assert f"{bad}, line {line}:" in err
+
+
+def header_only(text):
+    return text.splitlines()[0] + "\n"
+
+
+def test_header_only_inputs(ws, tmp_path, capsys):
+    root, data, ckpt, preds = ws
+    manifest = data / "header-only.jsonl"
+    manifest.write_text(header_only((data / "manifest.jsonl").read_text()))
+    code, _ = run(["train", "--manifest", str(manifest), "--checkpoint",
+                   str(tmp_path / "m.sgck")], capsys)
+    assert code == 3
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(header_only(preds.read_text()))
+    code, _ = run(["ensemble", "--inputs", str(bad), "--out",
+                   str(tmp_path / "fused.jsonl")], capsys)
+    assert code == 3
+
+
+BAD_ARGUMENTS = [
+    ["synth", "--clips", "0"],
+    ["synth", "--dim", "0"],
+    ["synth", "--dim", "-3"],
+    ["synth", "--blocks", "0"],
+    ["synth", "--frames", "0"],
+    ["synth", "--tokens", "0"],
+    ["synth", "--within", "2"],
+    ["synth", "--within", "-0.1"],
+    ["synth", "--within", "nan"],
+    ["train", "--batch-size", "0"],
+    ["train", "--epochs", "0"],
+    ["train", "--epochs", "-1"],
+    ["eval", "--tau", "nan"],
+    ["eval", "--tau", "inf"],
+    ["eval", "--tau", "1", "--tau=-inf"],
+]
+
+
+@pytest.mark.parametrize("args", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_numeric_argument_exits_2(ws, tmp_path, capsys, args):
+    root, data, ckpt, _ = ws
+    command, *rest = args
+    required = {
+        "synth": ["--out", str(tmp_path / "out")],
+        "train": ["--manifest", str(data / "manifest.jsonl"),
+                  "--checkpoint", str(tmp_path / "m.sgck")],
+        "eval": ["--checkpoint", str(ckpt), "--manifest",
+                 str(data / "manifest.jsonl")],
+    }[command]
+    code, err = run([command, *required, *rest], capsys)
+    assert code == 2
+    assert rest[0] in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "m.sgck").exists()
+
+
+@pytest.mark.parametrize("which", ["feature", "prototype", "checkpoint"])
+def test_truncated_binary_file_exits_3(ws, tmp_path, capsys, which):
+    root, data, ckpt, _ = ws
+    manifest = data / "manifest.jsonl"
+    protos = data / "language_prototypes.sglp"
+    if which == "feature":
+        cut = data / "cut.sgft"
+        cut.write_bytes((data / "clip_00002.sgft").read_bytes()[:-5])
+        manifest = data / "cut-feature.jsonl"
+        manifest.write_text(set_key(3, "feature_path", cut.name)(
+            (data / "manifest.jsonl").read_text()))
+    elif which == "prototype":
+        protos = tmp_path / "cut.sglp"
+        protos.write_bytes((data / "language_prototypes.sglp").read_bytes()[:-5])
+    else:
+        cut = tmp_path / "cut.sgck"
+        cut.write_bytes(ckpt.read_bytes()[:-5])
+        code, _ = run(["eval", "--checkpoint", str(cut), "--manifest",
+                       str(manifest)], capsys)
+        assert code == 3
+        return
+    code, _ = run(["train", "--manifest", str(manifest), "--prototypes",
+                   str(protos), "--checkpoint", str(tmp_path / "m.sgck"),
+                   "--epochs", "1"], capsys)
+    assert code == 3

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sgear.autodiff as ad
-from sgear import semantic
+from sgear import dataio, semantic
 from sgear.autodiff import Tensor
 from sgear.errors import ConfigError, ShapeError
 from sgear.pa import frame_relative_repr
@@ -40,7 +40,7 @@ class TestProtoStore:
     def test_save_load(self, tmp_path):
         rng = np.random.default_rng(0)
         store = store_from(rng.normal(size=(4, 6)).astype(np.float32))
-        store.save(tmp_path / "p.sglp")
+        dataio.write_prototype_file(tmp_path / "p.sglp", store.tensor.data)
         back = ProtoStore.load(tmp_path / "p.sglp", kind="visual")
         assert np.array_equal(back.tensor.data, store.tensor.data)
 
