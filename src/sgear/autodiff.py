@@ -5,6 +5,11 @@ forward pass plus a backward closure. Gradients accumulate additively across
 uses of the same tensor; zeroing is explicit (``zero_grad``). The whole module
 runs in double precision by default so finite-difference verification
 (`grad_check`) is meaningful.
+
+Each graph node costs Python overhead, so `linear`, `layer_norm` and
+`attention` are one node each with an analytic backward. Their forwards run
+the numpy operations of the composites they replaced in the same order, so
+their values are bit-identical to those composites.
 """
 
 from __future__ import annotations
@@ -72,6 +77,8 @@ def _finite(name, data):
 
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -108,8 +115,10 @@ class Tensor:
 
     def _accum(self, grad):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # a copy: a backward may hand one array to several operands
+            self.grad = np.array(grad, dtype=self.data.dtype)
+        else:
+            self.grad += grad
 
     def zero_grad(self):
         self.grad = None
@@ -173,10 +182,19 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        return self + (-_as_tensor(other))
+        other = _as_tensor(other)
+        out = _make(np.subtract(self.data, other.data), (self, other), "sub")
+        if out.requires_grad:
+            def back(g):
+                if self.requires_grad:
+                    self._accum(_unbroadcast(g, self.shape))
+                if other.requires_grad:
+                    other._accum(-_unbroadcast(g, other.shape))
+            out._backward = back
+        return out
 
     def __rsub__(self, other):
-        return _as_tensor(other) + (-self)
+        return _as_tensor(other) - self
 
     def __mul__(self, other):
         other = _as_tensor(other)
@@ -255,7 +273,7 @@ class Tensor:
             def back(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.shape).copy())
+                self._accum(np.broadcast_to(g, self.shape))
             out._backward = back
         return out
 
@@ -314,6 +332,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accum(_unbroadcast(gb, b.shape))
+        out._backward = back
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for (in, out) weights: x is (in,) or (..., in)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, "
+                         f"b {b.shape}")
+    # a 1-d x runs as one row: the product the composite ran, bit for bit
+    xd = x.data.reshape(1, -1) if x.ndim == 1 else x.data
+    y = np.matmul(xd, w.data) + b.data
+    out = _make(y.reshape(-1) if x.ndim == 1 else y, (x, w, b), "linear")
+    if out.requires_grad:
+        def back(g):
+            g2 = g.reshape(-1, w.shape[1])
+            if x.requires_grad:
+                x._accum(np.matmul(g, w.data.T).reshape(x.shape))
+            if w.requires_grad:
+                w._accum(np.matmul(x.data.reshape(-1, w.shape[0]).T, g2))
+            if b.requires_grad:
+                b._accum(g2.sum(axis=0))
         out._backward = back
     return out
 
@@ -437,10 +479,59 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match "
             f"feature extent {x.shape[-1]}")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc * ((var + eps) ** -0.5) * gain + bias
+    inv_n = 1.0 / x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    # a finite variance proves x, its mean and xc finite, as checking each did
+    var = _finite("layer_norm", (xc * xc).sum(axis=-1, keepdims=True) * inv_n)
+    inv = (var + eps) ** -0.5
+    xhat = xc * inv
+    out = _make(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
+    if out.requires_grad:
+        def back(g):
+            if x.requires_grad:
+                gh = g * gain.data
+                x._accum(inv * (gh - gh.sum(axis=-1, keepdims=True) * inv_n
+                                - xhat * ((gh * xhat).sum(axis=-1, keepdims=True)
+                                          * inv_n)))
+            if gain.requires_grad:
+                gain._accum(_unbroadcast(g * xhat, gain.shape))
+            if bias.requires_grad:
+                bias._accum(_unbroadcast(g, bias.shape))
+        out._backward = back
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None) -> Tensor:
+    """softmax(q k^T * scale + mask) v over the last two axes, leading axes
+    batched. `mask` is a constant array added to the scores, e.g. -1e30 above
+    the diagonal for causal attention. Non-finite scores raise NumericError
+    whether or not CHECK_FINITE is on, as `softmax` does."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention operands disagree: q {q.shape}, "
+                         f"k {k.shape}, v {v.shape}")
+    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+    if mask is not None:
+        scores = scores + mask
+    if not _all_finite(scores):
+        raise NumericError("attention received non-finite scores")
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _make(np.matmul(p, v.data), (q, k, v), "attention")
+    if out.requires_grad:
+        def back(g):
+            if v.requires_grad:
+                v._accum(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape))
+            if q.requires_grad or k.requires_grad:
+                gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+                gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+                if q.requires_grad:
+                    q._accum(_unbroadcast(np.matmul(gs, k.data), q.shape))
+                if k.requires_grad:
+                    gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
+                    k._accum(_unbroadcast(gk, k.shape))
+        out._backward = back
+    return out
 
 
 # -- verification harness ---------------------------------------------------------

@@ -16,6 +16,7 @@ per line. This keeps large datasets streamable and diffable.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,15 @@ MANIFEST_FORMAT = "sgear-manifest"
 
 # -- record types ---------------------------------------------------------------
 
+def is_int(value):
+    """An integer, numpy's included, that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_class(value, num_classes):
+    return is_int(value) and 0 <= value < num_classes
+
+
 @dataclass
 class SegmentRecord:
     clip_id: str
@@ -40,17 +50,19 @@ class SegmentRecord:
     labels: list = field(default_factory=list)  # [(time_sec, class), ...]
 
     def validate(self, num_classes):
-        if self.start_time < 0:
-            raise DataError(f"{self.clip_id}: start_time must be >= 0")
-        if not 0 <= self.target_class < num_classes:
-            raise DataError(f"{self.clip_id}: target class {self.target_class} "
-                            f"out of range for K={num_classes}")
+        if not math.isfinite(self.start_time) or self.start_time < 0:
+            raise DataError(f"{self.clip_id}: start_time must be finite and "
+                            f">= 0, got {self.start_time}")
+        if not _is_class(self.target_class, num_classes):
+            raise DataError(f"{self.clip_id}: target class {self.target_class!r} "
+                            f"is not an int in [0, {num_classes})")
         for t, c in self.labels:
-            if t >= self.start_time:
-                raise DataError(f"{self.clip_id}: past label at {t} not before "
-                                f"start_time {self.start_time}")
-            if not 0 <= c < num_classes:
-                raise DataError(f"{self.clip_id}: label class {c} out of range")
+            if not math.isfinite(t) or t >= self.start_time:
+                raise DataError(f"{self.clip_id}: past label time must be finite "
+                                f"and before start_time {self.start_time}, got {t}")
+            if not _is_class(c, num_classes):
+                raise DataError(f"{self.clip_id}: label class {c!r} is not an "
+                                f"int in [0, {num_classes})")
 
 
 @dataclass
@@ -67,6 +79,13 @@ class DatasetManifest:
         return int(round(self.tau_o * self.fps))
 
     def validate(self):
+        if not is_int(self.num_classes) or self.num_classes < 1:
+            raise DataError(f"K must be a positive int, got {self.num_classes!r}")
+        for name in ("tau_o", "tau_a", "fps"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.fps <= 0:
+            raise DataError(f"fps must be > 0, got {self.fps}")
         if len(self.class_names) != self.num_classes:
             raise DataError("class_names length does not match class count")
         if len(set(self.class_names)) != self.num_classes:
@@ -155,8 +174,8 @@ def read_manifest(path) -> DatasetManifest:
             )
             rec.validate(manifest.num_classes)
             manifest.records.append(rec)
-    except DataError:
-        raise
+    except DataError as exc:
+        raise DataError(f"{path}, line {lineno}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise field_error(path, lineno, exc) from exc
     return manifest

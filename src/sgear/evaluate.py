@@ -173,21 +173,34 @@ def write_predictions(path, preds):
 
 
 def read_predictions(path):
+    """Predictions checked against the header's K: each line's `truth` is an
+    int in [0, K) and its `scores` are K numbers summing to 1, which also
+    proves them finite. A bad line raises FormatError naming it."""
     rows = dataio.read_json_lines(path, "predictions file")
     lineno, header = rows[0]
     if header.get("format") != PREDICTIONS_FORMAT:
         raise FormatError(f"{path}: not a {PREDICTIONS_FORMAT} file")
+    k = header.get("K")
+    if not dataio.is_int(k) or k < 1:
+        raise FormatError(f"{path}, line {lineno}: K must be a positive int, "
+                          f"got {k!r}")
     if len(rows) == 1:
         raise FormatError(f"{path}: no predictions after the header")
     preds = []
     try:
         for lineno, obj in rows[1:]:
-            scores = np.asarray(obj["scores"])
+            truth, scores = obj["truth"], np.asarray(obj["scores"])
+            if not dataio.is_int(truth) or not 0 <= truth < k:
+                raise FormatError(f"{path}, line {lineno}: truth must be an int "
+                                  f"in [0, {k}), got {truth!r}")
+            if scores.shape != (k,) or scores.dtype.kind not in "if":
+                raise FormatError(f"{path}, line {lineno}: scores must be "
+                                  f"{k} numbers")
             total = scores.sum()
             if not abs(total - 1.0) <= 1e-6:      # NaN and inf fail too
-                raise FormatError(
-                    f"{path}: clip {obj['clip_id']} scores sum to {total}")
-            preds.append(Prediction(obj["clip_id"], scores, obj["truth"]))
+                raise FormatError(f"{path}, line {lineno}: clip "
+                                  f"{obj['clip_id']} scores sum to {total}")
+            preds.append(Prediction(obj["clip_id"], scores, truth))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,6 +14,8 @@ skipped. The names are the checkpoint contract, e.g. ``tca.block0.wq.w``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -57,11 +59,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        flat = x.ndim == 1
-        if flat:
-            x = x.reshape(1, -1)
-        y = ad.matmul(x, self.w) + self.b
-        return y.reshape(-1) if flat else y
+        return ad.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -96,6 +94,14 @@ def join_heads(x: Tensor) -> Tensor:
     return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
+@functools.lru_cache(maxsize=None)
+def causal_mask(n: int) -> np.ndarray:
+    """Read-only (n, n) additive mask: -1e30 above the diagonal, else 0."""
+    mask = np.triu(np.full((n, n), -1e30), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 class SelfAttention(Module):
     """Causal multi-head self-attention over token sequences (..., N, d):
     position i attends to positions <= i; leading axes are independent
@@ -114,14 +120,12 @@ class SelfAttention(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim < 2 or x.shape[-1] != self.dim:
             raise ShapeError(f"attention expects (..., N, {self.dim}), got {x.shape}")
-        n = x.shape[-2]
         q = split_heads(self.wq(x), self.heads)
         k = split_heads(self.wk(x), self.heads)
         v = split_heads(self.wv(x), self.heads)
-        scores = ad.matmul(q, k.mT) * (1.0 / np.sqrt(self.dim))
-        scores = scores + Tensor(np.triu(np.full((n, n), -1e30), k=1))
-        attn = ad.softmax(scores, axis=-1)
-        return self.wo(join_heads(ad.matmul(attn, v)))
+        out = ad.attention(q, k, v, 1.0 / np.sqrt(self.dim),
+                           mask=causal_mask(x.shape[-2]))
+        return self.wo(join_heads(out))
 
 
 class TransformerBlock(Module):

@@ -60,9 +60,8 @@ class TcaBlock(nn.Module):
         q = nn.split_heads(self.wq(x), self.heads)      # (..., T, heads, N, dh)
         k_hat = self._history(nn.split_heads(self.wk(x), self.heads))
         v_hat = self._history(nn.split_heads(self.wv(x), self.heads))
-        scores = ad.matmul(q, k_hat.mT) * (1.0 / np.sqrt(self.dim))
-        attn = ad.softmax(scores, axis=-1)
-        return self.wo(nn.join_heads(ad.matmul(attn, v_hat)))
+        out = ad.attention(q, k_hat, v_hat, 1.0 / np.sqrt(self.dim))
+        return self.wo(nn.join_heads(out))
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.dim:

@@ -1,0 +1,344 @@
+"""The fused autodiff ops `linear`, `layer_norm` and `attention`, and the
+one-node `sub`, against the composites they replaced.
+
+The composites below are the old code paths, kept as oracles. A fused op runs
+the same numpy operations in the same order, so its forward must be
+bit-equal; only the order in which gradients are summed changed, so every
+gradient must agree within 1e-12 (relative, floor 1).
+"""
+
+import numpy as np
+import pytest
+
+import sgear.autodiff as ad
+from sgear import nn
+from sgear.autodiff import Tensor
+from sgear.errors import NumericError, ShapeError
+from sgear.semantic import LossWeights
+
+from test_batch_oracle import WEIGHTS, bench_model, count_nodes, make_clips, make_model
+
+TOL = 1e-12
+
+
+# -- oracles: the composites the fused ops replaced -----------------------------------
+
+def composite_linear(x, w, b):
+    flat = x.ndim == 1
+    if flat:
+        x = x.reshape(1, -1)
+    y = ad.matmul(x, w) + b
+    return y.reshape(-1) if flat else y
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x + (-mu)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    return xc * ((var + eps) ** -0.5) * gain + bias
+
+
+def composite_attention(q, k, v, scale, mask=None):
+    scores = ad.matmul(q, k.mT) * scale
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
+# -- comparison --------------------------------------------------------------------------
+
+def rel_err(a, b):
+    return float(np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a),
+                                                                   np.abs(b)))))
+
+
+def run(fn, operands, seed):
+    """Output and the operands' gradients after backward from `seed`."""
+    for t in operands:
+        t.zero_grad()
+    out = fn(*operands)
+    grads = None
+    if out.requires_grad:
+        out.backward(seed)
+        grads = [None if t.grad is None else t.grad.copy() for t in operands]
+    return out.data.copy(), grads
+
+
+def assert_matches(fused, composite, operands, rng):
+    seed = rng.normal(size=fused(*operands).shape)
+    out, grads = run(fused, operands, seed)
+    want, want_grads = run(composite, operands, seed)
+    assert np.array_equal(out, want)
+    assert (grads is None) == (want_grads is None)
+    for t, g, w in zip(operands, grads or [], want_grads or []):
+        assert (g is None) == (not t.requires_grad)
+        assert (w is None) == (not t.requires_grad)
+        if g is not None:
+            assert g.shape == t.shape
+            assert rel_err(g, w) <= TOL
+
+
+def tensors(rng, *shapes, grad=True):
+    return [Tensor(rng.normal(size=s), requires_grad=grad) for s in shapes]
+
+
+# -- linear ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3, 4)])
+@pytest.mark.parametrize("frozen", [None, "x", "w", "b", "wb"])
+def test_linear_matches_composite(lead, frozen):
+    rng = np.random.default_rng(len(lead))
+    x, w, b = tensors(rng, (*lead, 6), (6, 3), (3,))
+    for name, t in zip("xwb", (x, w, b)):
+        t.requires_grad = frozen is None or name not in frozen
+    assert_matches(ad.linear, composite_linear, [x, w, b], rng)
+
+
+def test_linear_module_is_one_node():
+    rng = np.random.default_rng(1)
+    layer = nn.Linear(6, 3, rng)
+    x = Tensor(rng.normal(size=(2, 4, 6)), requires_grad=True)
+    y = layer(x)
+    assert y._prev == (x, layer.w, layer.b)
+    assert np.array_equal(y.data, composite_linear(x, layer.w, layer.b).data)
+
+
+def test_linear_shape_errors():
+    x, w, b = tensors(np.random.default_rng(2), (2, 6), (6, 3), (3,))
+    with pytest.raises(ShapeError):
+        ad.linear(x, w.T, b)
+    with pytest.raises(ShapeError):
+        ad.linear(x, w, Tensor(np.zeros(6)))
+
+
+# -- layer norm --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3, 4)])
+@pytest.mark.parametrize("frozen", [None, "x", "g", "b", "gb"])
+def test_layer_norm_matches_composite(lead, frozen):
+    rng = np.random.default_rng(10 + len(lead))
+    x, gain, bias = tensors(rng, (*lead, 8), (8,), (8,))
+    x.data *= 3.0
+    for name, t in zip("xgb", (x, gain, bias)):
+        t.requires_grad = frozen is None or name not in frozen
+    assert_matches(ad.layer_norm, composite_layer_norm, [x, gain, bias], rng)
+
+
+def test_layer_norm_of_a_constant_row():
+    """Zero variance: eps keeps the scale finite, as in the composite."""
+    rng = np.random.default_rng(11)
+    x = Tensor(np.full((2, 8), 3.0), requires_grad=True)
+    gain, bias = tensors(rng, (8,), (8,))
+    assert_matches(ad.layer_norm, composite_layer_norm, [x, gain, bias], rng)
+
+
+# -- attention -----------------------------------------------------------------------------
+
+ATTENTION_SHAPES = {
+    # SelfAttention over (B, T, tokens, d) split into 2 heads of 4
+    "self-attention": ((2, 3, 2, 4, 4), (2, 3, 2, 4, 4)),
+    # TCA's (T, heads, N, dh) for one clip and (B, T, heads, N, dh) for four
+    "tca-clip": ((3, 2, 5, 8), (3, 2, 5, 8)),
+    "tca-batch": ((4, 3, 2, 5, 8), (4, 3, 2, 5, 8)),
+    # more keys than queries, and a value width of its own
+    "rectangular": ((2, 3, 4), (2, 6, 4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("frozen", [None, "q", "k", "v", "qk"])
+def test_attention_matches_composite(case, masked, frozen):
+    q_shape, k_shape = ATTENTION_SHAPES[case]
+    rng = np.random.default_rng(20 + len(q_shape))
+    v_shape = (*k_shape[:-1], 3) if case == "rectangular" else k_shape
+    q, k, v = tensors(rng, q_shape, k_shape, v_shape)
+    for name, t in zip("qkv", (q, k, v)):
+        t.requires_grad = frozen is None or name not in frozen
+    nq, nk = q_shape[-2], k_shape[-2]
+    mask = np.triu(np.full((nq, nk), -1e30), k=1) if masked else None
+    scale = 1.0 / np.sqrt(8)
+    assert_matches(lambda *a: ad.attention(*a, scale, mask=mask),
+                   lambda *a: composite_attention(*a, scale, mask=mask),
+                   [q, k, v], rng)
+
+
+def test_causal_mask_is_built_once_and_read_only():
+    mask = nn.causal_mask(4)
+    assert nn.causal_mask(4) is mask
+    assert not mask.flags.writeable
+    assert np.array_equal(mask, np.triu(np.full((4, 4), -1e30), k=1))
+
+
+def test_attention_shape_errors():
+    q, k, v = tensors(np.random.default_rng(3), (2, 3, 4), (2, 5, 4), (2, 4, 4))
+    with pytest.raises(ShapeError):
+        ad.attention(q, k, v, 0.5)
+    with pytest.raises(ShapeError):
+        ad.attention(q, Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 5, 4))), 0.5)
+
+
+# -- the model through fused ops against the model through composites ---------------------
+
+@pytest.fixture
+def composites(monkeypatch):
+    """Route every caller of the fused ops through the old composites."""
+    def use():
+        monkeypatch.setattr(ad, "linear", composite_linear)
+        monkeypatch.setattr(ad, "layer_norm", composite_layer_norm)
+        monkeypatch.setattr(ad, "attention", composite_attention)
+    return use
+
+
+@pytest.mark.parametrize("setting", ["1", "3", "full"])
+def test_model_matches_composite_model(setting, composites):
+    """Loss and batched predictions bit-equal, gradients within TOL, for
+    settings with and without TCA, PA and the cosine head."""
+    model = make_model(setting, ratio=0.5)
+    clips = make_clips(4)
+    feats = np.stack([x for x, _, _ in clips])
+    targets = [y for _, y, _ in clips]
+    past = [p for _, _, p in clips]
+
+    def loss_grads_and_predictions():
+        params = model.parameters()
+        for p in params.values():
+            p.zero_grad()
+        out = model.total_loss(feats, targets, WEIGHTS, past_labels=past)
+        out["loss"].backward()
+        return (out["loss"].data.copy(),
+                {name: p.grad.copy() for name, p in params.items()
+                 if p.grad is not None},
+                model.predict(feats, n_steps=2))
+
+    loss, grads, preds = loss_grads_and_predictions()
+    composites()
+    want_loss, want_grads, want_preds = loss_grads_and_predictions()
+    assert np.array_equal(loss, want_loss)
+    assert np.array_equal(preds, want_preds)
+    assert grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert rel_err(grads[name], want_grads[name]) <= TOL, name
+
+
+# -- sub ---------------------------------------------------------------------------------
+
+def test_sub_is_one_node_with_the_composite_value():
+    rng = np.random.default_rng(5)
+    a, b = tensors(rng, (3, 4), (4,))
+    d = a - b
+    assert d._prev == (a, b)
+    assert np.array_equal(d.data, (a + (-b)).data)
+    r = 2.0 - a
+    assert np.array_equal(r.data, (Tensor(2.0) + (-a)).data)
+    assert_matches(lambda a, b: a - b, lambda a, b: a + (-b), [a, b], rng)
+    assert_matches(lambda a: 2.0 - a, lambda a: Tensor(2.0) + (-a), [a], rng)
+
+
+def test_first_gradient_is_a_private_copy():
+    """`add` hands one array to both operands and `sum` a broadcast view;
+    each operand's gradient must still be its own writable array."""
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    (a + b).backward(np.array([1.0, 1.0]))
+    assert a.grad is not b.grad and a.grad.flags.writeable
+    a.grad += 1.0
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    c = Tensor(np.ones((2, 3)), requires_grad=True)
+    c.sum().backward()
+    assert c.grad.flags.writeable and c.grad.flags.owndata
+    c.sum().backward()
+    assert np.array_equal(c.grad, np.full((2, 3), 2.0))
+
+
+# -- grad_check of each fused op ---------------------------------------------------------
+
+def fused_cases(rng):
+    x, w, b = tensors(rng, (2, 3, 5), (5, 4), (4,))
+    v1 = Tensor(rng.normal(size=5), requires_grad=True)
+    xn, gain, bias = tensors(rng, (2, 3, 6), (6,), (6,))
+    q, k, v = tensors(rng, (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3))
+    a, c = tensors(rng, (3, 4), (4,))
+    mask = np.triu(np.full((4, 4), -1e30), k=1)
+
+    def weighted(t):
+        # a fixed random weighting: the plain sum of a layer norm is constant
+        r = np.random.default_rng(t.data.size).normal(size=t.shape)
+        return (t * r).sum()
+
+    return {
+        "linear": (lambda: weighted(ad.linear(x, w, b)), [x, w, b]),
+        "linear-1d": (lambda: weighted(ad.linear(v1, w, b)), [v1, w, b]),
+        "layer_norm": (lambda: weighted(ad.layer_norm(xn, gain, bias)),
+                       [xn, gain, bias]),
+        "attention": (lambda: weighted(ad.attention(q, k, v, 0.7)), [q, k, v]),
+        "attention-masked": (lambda: weighted(ad.attention(q, k, v, 0.7, mask)),
+                             [q, k, v]),
+        "sub-broadcast": (lambda: weighted((a - c) * (c - a)), [a, c]),
+        "rsub": (lambda: weighted(1.5 - a * a), [a]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(fused_cases(np.random.default_rng(0))))
+def test_grad_check_fused_op(name):
+    f, params = fused_cases(np.random.default_rng(30))[name]
+    assert ad.grad_check(f, params) < 1e-6
+
+
+# -- non-finite values ---------------------------------------------------------------------
+
+def test_attention_rejects_an_infinite_score_with_checks_off():
+    assert not ad.CHECK_FINITE
+    q, k, v = tensors(np.random.default_rng(6), (3, 4), (3, 4), (3, 4))
+    q.data[1, 2] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match="attention received non-finite scores"):
+        ad.attention(q, k, v, 0.5)
+
+
+@pytest.mark.parametrize("op", ["linear", "layer_norm", "attention"])
+def test_check_finite_names_the_fused_op(op, monkeypatch):
+    monkeypatch.setattr(ad, "CHECK_FINITE", True)
+    rng = np.random.default_rng(7)
+    a, b, c = tensors(rng, (3, 4), (4, 4), (4,))
+    if op == "linear":
+        b.data[0, 0] = np.inf
+        call = lambda: ad.linear(a, b, c)
+    elif op == "layer_norm":
+        c.data[0] = np.inf          # a finite variance, an infinite bias
+        call = lambda: ad.layer_norm(a, Tensor(np.ones(4)), c)
+    else:
+        b.data[0, 0] = np.inf       # finite scores, an infinite value
+        call = lambda: ad.attention(a, Tensor(np.ones((4, 4))), b, 0.5)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError,
+                                                      match=f"'{op}'"):
+        call()
+
+
+def test_layer_norm_checks_its_variance(monkeypatch):
+    """An input whose squares overflow gives a zero scale and a finite output,
+    but the composite raised on the overflow; the fused op raises too."""
+    monkeypatch.setattr(ad, "CHECK_FINITE", True)
+    x = Tensor([[1e200, -1e200, 0.0, 0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericError,
+                                                   match="'layer_norm'"):
+        ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+
+
+# -- graph size --------------------------------------------------------------------------
+
+def test_fused_node_counts():
+    """With the fused ops the benchmark's gradcheck model (one clip) builds
+    at most 210 nodes and a four-clip batch of the train shape at most 220;
+    test_batch_oracle.test_node_counts keeps the older, looser bounds."""
+    weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
+    model = bench_model(6, 3)
+    feats = np.random.default_rng(3).normal(size=(3, 5, 16))
+    one = model.total_loss(feats, 0, weights, past_labels=[None, 1, 2])["loss"]
+    assert count_nodes(one) <= 210
+
+    model = bench_model(12, 8)
+    feats = np.random.default_rng(4).normal(size=(4, 8, 2, 16))
+    past = [[None] + [1] * 7, None, [2, None] * 4, [None] * 8]
+    four = model.total_loss(feats, [0, 5, 7, 11], weights, past_labels=past)["loss"]
+    assert count_nodes(four) <= 220

@@ -83,6 +83,21 @@ MANIFEST_CASES = [
     ("labels-not-list", set_key(1, "labels", 5), 2),
     ("labels-wrong-arity", set_key(1, "labels", [[0.5, 1, 2]]), 2),
     ("not-utf8", replace_line(4, '{"clip_id": "\uffff"}'), 5),
+    # values that parse but are wrong
+    ("target-float", set_key(2, "target", 2.5), 3),
+    ("target-bool", set_key(2, "target", True), 3),
+    ("target-out-of-range", set_key(2, "target", 4), 3),
+    ("start-time-nan", set_key(1, "start_time", float("nan")), 2),
+    ("start-time-inf", set_key(1, "start_time", float("inf")), 2),
+    ("label-time-nan", set_key(1, "labels", [[float("nan"), 1]]), 2),
+    ("label-class-float", set_key(1, "labels", [[0.5, 1.5]]), 2),
+    ("label-class-bool", set_key(1, "labels", [[0.5, False]]), 2),
+    ("K-float", set_key(0, "K", 4.0), 1),
+    ("tau-o-inf", set_key(0, "tau_o", float("inf")), 1),
+    ("tau-a-nan", set_key(0, "tau_a", float("nan")), 1),
+    ("fps-nan", set_key(0, "fps", float("nan")), 1),
+    ("fps-zero", set_key(0, "fps", 0), 1),
+    ("fps-negative", set_key(0, "fps", -3.0), 1),
 ]
 
 PREDICTION_CASES = [
@@ -95,6 +110,20 @@ PREDICTION_CASES = [
     ("missing-scores", drop_key(1, "scores"), 2),
     ("missing-clip-id", drop_key(1, "clip_id"), 2),
     ("not-utf8", replace_line(3, '{"clip_id": "\uffff"}'), 4),
+    # values checked against the header's K (4)
+    ("K-missing", drop_key(0, "K"), 1),
+    ("K-zero", set_key(0, "K", 0), 1),
+    ("K-float", set_key(0, "K", 4.0), 1),
+    ("K-bool", set_key(0, "K", True), 1),
+    ("K-larger", set_key(0, "K", 5), 2),
+    ("truth-out-of-range", set_key(2, "truth", 99), 3),
+    ("truth-negative", set_key(2, "truth", -1), 3),
+    ("truth-float", set_key(2, "truth", 1.0), 3),
+    ("truth-bool", set_key(2, "truth", True), 3),
+    ("scores-too-long", edit_line(2, lambda o: {**o, "scores": o["scores"] + [0.0]}), 3),
+    ("scores-too-short", edit_line(2, lambda o: {**o, "scores": o["scores"][:-1]}), 3),
+    ("scores-nan", edit_line(2, lambda o: {**o, "scores": [float("nan")] + o["scores"][1:]}), 3),
+    ("scores-bool", set_key(2, "scores", [True, False, False, False]), 3),
 ]
 
 
