@@ -288,7 +288,11 @@ def _checked(convert, ok, need):
 
 
 COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+NON_NEGATIVE = _checked(int, lambda v: v >= 0, "at least 0")
+CLASSES = _checked(int, lambda v: v >= 2, "at least 2")
 FINITE = _checked(float, math.isfinite, "finite")
+POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                    "finite and above 0")
 SHARE = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
@@ -298,12 +302,12 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=12)
+    p.add_argument("--classes", type=CLASSES, default=12)
     p.add_argument("--frames", type=COUNT, default=8)
     p.add_argument("--dim", type=COUNT, default=16)
     p.add_argument("--clips", type=COUNT, default=200)
     p.add_argument("--tokens", type=COUNT, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--graph", choices=["uniform", "blocks", "chain"],
                    default="blocks")
     p.add_argument("--blocks", type=COUNT, default=2)
@@ -321,11 +325,11 @@ def build_parser():
     p.add_argument("--proto-init", default="class-mean",
                    choices=["random", "class-mean", "recognition-mean"])
     p.add_argument("--epochs", type=COUNT)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=POSITIVE)
     p.add_argument("--batch-size", type=COUNT)
     p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0)
+    p.add_argument("--log-every", type=NON_NEGATIVE, default=0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -348,7 +352,7 @@ def build_parser():
     p = sub.add_parser("analyze", help="prototype geometry reports")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--top", type=int, default=5)
+    p.add_argument("--top", type=COUNT, default=5)
     p.set_defaults(func=_cmd_analyze)
     return parser
 

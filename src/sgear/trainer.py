@@ -41,63 +41,81 @@ def lr_at(step, base_lr, warmup_steps, total_steps):
 
 # -- optimizers ------------------------------------------------------------------
 
-class Sgd:
+class _FlatOptimizer:
+    """Base of `Sgd` and `AdamW`: the parameters, sorted by name, live in one
+    float64 buffer, each ``p.data`` a view of it, so a step is a few numpy ops."""
+
+    def __init__(self, params: dict, weight_decay):
+        self.params = dict(sorted(params.items()))
+        if len({id(p) for p in self.params.values()}) < len(self.params):
+            raise ConfigError("a Tensor is registered under two names")
+        self.weight_decay = weight_decay
+        self._sizes = [p.data.size for p in self.params.values()]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params.values()])
+        for p, view in zip(self.params.values(), self._views(self.flat).values()):
+            p.data = view
+
+    def _views(self, flat, prefix=""):
+        parts = np.split(flat, np.cumsum(self._sizes)[:-1])
+        return {prefix + k: a.reshape(p.shape)
+                for (k, p), a in zip(self.params.items(), parts)}
+
+    def _gather(self, clip):
+        """The flat gradient, clipped to global norm `clip` when set, and where
+        the step may write: a parameter whose ``.grad`` is None is left out."""
+        params = self.params.values()
+        grad = np.concatenate([np.zeros(p.data.size) if p.grad is None
+                               else p.grad.ravel() for p in params])
+        _clip(grad, clip)
+        has = [p.grad is not None for p in params]
+        return grad, True if all(has) else np.repeat(has, self._sizes)
+
+
+class Sgd(_FlatOptimizer):
     """SGD with momentum; weight decay is coupled (added to the gradient)."""
 
     def __init__(self, params: dict, momentum=0.9, weight_decay=0.0):
-        self.params = dict(sorted(params.items()))
+        super().__init__(params, weight_decay)
         self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.velocity = np.zeros_like(self.flat)
 
-    def step(self, lr):
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad + self.weight_decay * p.data
-            v = self.velocity[name]
-            v *= self.momentum
-            v += g
-            p.data -= lr * v
+    def step(self, lr, clip=None):
+        grad, live = self._gather(clip)
+        grad += self.weight_decay * self.flat
+        np.copyto(self.velocity, self.velocity * self.momentum + grad, where=live)
+        np.copyto(self.flat, self.flat - lr * self.velocity, where=live)
 
     def state_arrays(self):
-        return {f"velocity.{k}": v for k, v in self.velocity.items()}
+        return self._views(self.velocity, "velocity.")
 
 
-class AdamW:
+class AdamW(_FlatOptimizer):
     """Adam with decoupled weight decay."""
 
     def __init__(self, params: dict, betas=(0.9, 0.999), weight_decay=0.0,
                  eps=1e-8):
-        self.params = dict(sorted(params.items()))
+        super().__init__(params, weight_decay)
         self.betas = betas
-        self.weight_decay = weight_decay
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, lr):
+    def step(self, lr, clip=None):
+        grad, live = self._gather(clip)
         self.t += 1
         b1, b2 = self.betas
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            m_hat = self.m[name] / c1
-            v_hat = self.v[name] / c2
-            p.data -= lr * self.weight_decay * p.data
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.copyto(self.m, self.m * b1 + (1 - b1) * grad, where=live)
+        np.copyto(self.v, self.v * b2 + (1 - b2) * grad * grad, where=live)
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        flat = self.flat - lr * self.weight_decay * self.flat
+        flat -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.copyto(self.flat, flat, where=live)
 
     def state_arrays(self):
-        out = {"t": np.asarray(float(self.t))}
-        out.update({f"m.{k}": v for k, v in self.m.items()})
-        out.update({f"v.{k}": v for k, v in self.v.items()})
-        return out
+        return {"t": np.asarray(float(self.t)), **self._views(self.m, "m."),
+                **self._views(self.v, "v.")}
 
 
 def build_optimizer(name, params, config):
@@ -198,11 +216,14 @@ def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr,
                grad_clip=None):
     """One optimization step over a batch of clips, run through the model as
     one graph (loss: mean of per-clip losses), with the global gradient norm
-    clipped to `grad_clip` when it is set.
+    clipped to `grad_clip` when it is set. The clip scales the optimizer's
+    flat gradient; each ``p.grad`` keeps the unclipped gradient. The
+    gradients zeroed are the optimizer's parameters (the model's when there
+    is no optimizer).
 
     Returns the per-part mean loss record as floats.
     """
-    params = model.parameters()
+    params = model.parameters() if optimizer is None else optimizer.params
     for p in params.values():
         p.zero_grad()
     feats, targets, past_labels = zip(*batch)
@@ -219,22 +240,17 @@ def train_step(batch, model: SgearModel, weights: LossWeights, optimizer, lr,
         raise NumericError("non-finite total loss")
     total.backward()
     if optimizer is not None:
-        _clip(params, grad_clip)
-        optimizer.step(lr)
+        optimizer.step(lr, grad_clip)
     record["total"] = loss_value
     return record
 
 
-def _clip(params, clip):
-    if not clip:
-        return
-    norm = np.sqrt(sum(float((p.grad ** 2).sum())
-                       for p in params.values() if p.grad is not None))
-    if norm > clip:
-        s = clip / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= s
+def _clip(grad, clip):
+    """Scale the flat gradient in place to global norm `clip` when larger."""
+    if clip:
+        norm = np.sqrt(grad @ grad)
+        if norm > clip:
+            grad *= clip / norm
 
 
 def fit(model: SgearModel, clips, config: TrainConfig, log_every=0):
@@ -363,11 +379,16 @@ def load_checkpoint(path):
         arrays = {}
         offset = 12 + hlen
         for name, dtype, shape in entries:
+            if name in arrays:
+                raise FormatError(f"checkpoint array '{name}' listed twice",
+                                  offset=12)
             count = int(np.prod(shape)) if shape else 1
             buf = dataio._read_exact(fh, count * dtype.itemsize, offset,
                                      f"array '{name}'")
             arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
             offset += len(buf)
+        if fh.read(1):
+            raise FormatError("bytes after the last array", offset=offset)
 
     language_store = None
     if "store.language" in arrays:
@@ -394,6 +415,10 @@ def load_checkpoint(path):
                 raise FormatError(f"checkpoint array '{name}' {arr.shape} matches "
                                   f"no model parameter")
             param.data[...] = arr
+    missing = [f"param.{name}" for name in params if f"param.{name}" not in arrays]
+    if missing:
+        raise FormatError(f"checkpoint lacks parameter arrays {missing}",
+                          offset=12)
     opt_arrays = {k[len("opt."):]: v for k, v in arrays.items()
                   if k.startswith("opt.")}
     return model, opt_arrays, header["step"]

@@ -6,7 +6,9 @@ truncations stay here as guards.
 """
 
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from sgear.cli import main
@@ -199,6 +201,18 @@ BAD_ARGUMENTS = [
     ["eval", "--tau", "nan"],
     ["eval", "--tau", "inf"],
     ["eval", "--tau", "1", "--tau=-inf"],
+    # values that parse but are wrong
+    ["synth", "--classes", "-3"],
+    ["synth", "--classes", "1", "--graph", "chain"],
+    ["synth", "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--lr", "-1"],
+    ["train", "--lr", "0"],
+    ["train", "--log-every", "-1"],
+    ["analyze", "--top", "0"],
+    ["analyze", "--top", "-2"],
 ]
 
 
@@ -212,6 +226,7 @@ def test_bad_numeric_argument_exits_2(ws, tmp_path, capsys, args):
                   "--checkpoint", str(tmp_path / "m.sgck")],
         "eval": ["--checkpoint", str(ckpt), "--manifest",
                  str(data / "manifest.jsonl")],
+        "analyze": ["--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "out")],
     }[command]
     code, err = run([command, *required, *rest], capsys)
     assert code == 2
@@ -244,3 +259,62 @@ def test_truncated_binary_file_exits_3(ws, tmp_path, capsys, which):
                    str(protos), "--checkpoint", str(tmp_path / "m.sgck"),
                    "--epochs", "1"], capsys)
     assert code == 3
+
+
+def drop_array(name):
+    """Checkpoint edit: the header's entry `name` and its bytes removed."""
+    def edit(data):
+        (hlen,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + hlen])
+        kept, offset = [], 12 + hlen
+        for entry in header["arrays"]:
+            size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+            if entry["name"] != name:
+                kept.append((entry, data[offset:offset + size]))
+            offset += size
+        assert offset == len(data) and len(kept) == len(header["arrays"]) - 1
+        header["arrays"] = [entry for entry, _ in kept]
+        blob = json.dumps(header, sort_keys=True).encode()
+        return (data[:8] + struct.pack("<I", len(blob)) + blob
+                + b"".join(blob for _, blob in kept))
+    return edit
+
+
+def repeat_array(name):
+    """Checkpoint edit: a second header entry and payload for `name`."""
+    def edit(data):
+        (hlen,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + hlen])
+        entry = next(e for e in header["arrays"] if e["name"] == name)
+        header["arrays"].append(entry)
+        size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
+        blob = json.dumps(header, sort_keys=True).encode()
+        return (data[:8] + struct.pack("<I", len(blob)) + blob
+                + data[12 + hlen:] + b"\0" * size)
+    return edit
+
+
+# (id, edit of the checkpoint bytes, text the message must hold, given the
+# length of the unedited file)
+CHECKPOINT_CASES = [
+    ("missing-parameter", drop_array("param.head.alpha"),
+     lambda n: "lacks parameter arrays ['param.head.alpha']"),
+    ("trailing-byte", lambda data: data + b"\0",
+     lambda n: f"bytes after the last array (byte offset {n})"),
+    ("trailing-array", lambda data: data + data[-8:],
+     lambda n: f"bytes after the last array (byte offset {n})"),
+    ("repeated-array", repeat_array("param.head.alpha"),
+     lambda n: "array 'param.head.alpha' listed twice"),
+]
+
+
+@pytest.mark.parametrize("case,edit,text", CHECKPOINT_CASES,
+                         ids=[c[0] for c in CHECKPOINT_CASES])
+def test_incomplete_checkpoint_exits_3(ws, tmp_path, capsys, case, edit, text):
+    root, data, ckpt, _ = ws
+    bad = tmp_path / "bad.sgck"
+    bad.write_bytes(edit(ckpt.read_bytes()))
+    code, err = run(["eval", "--checkpoint", str(bad), "--manifest",
+                     str(data / "manifest.jsonl")], capsys)
+    assert code == 3
+    assert text(len(ckpt.read_bytes())) in err

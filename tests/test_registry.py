@@ -174,8 +174,8 @@ def test_checkpoint_bytes_match_the_oracle(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
 def test_clipped_fit_matches_the_oracle(monkeypatch, optimizer):
-    """`_clip` sums the squared norms in registry order, so a reordered
-    registry would change the clipped gradients in the last bits."""
+    """`_clip` runs on the optimizer's flat gradient, laid out in sorted-name
+    order, so a clipped run with the oracle's registry is bit-identical."""
     config = TrainConfig(optimizer=optimizer, lr=5e-2, batch_size=2, epochs=2,
                          grad_clip=1e-3)
     runs = []

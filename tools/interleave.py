@@ -1,23 +1,28 @@
-"""A/B comparison of two source trees' benchmark ops in one process.
+"""A/B comparison of source trees' benchmark ops in one process.
 
     python tools/interleave.py PARENT_DIR CHANGE_DIR --workload train --rounds 10
+    python tools/interleave.py TREE1 TREE2 TREE3 ... --workload train
 
-Each directory is a checkout of this repository. Both trees' ``src/`` and
+Each directory is a checkout of this repository. All trees' ``src/`` and
 ``perfbench/workloads.py`` are imported side by side in this process, each
 workload is set up once per tree, and then every round runs one ``op()`` of
-each tree; which tree goes first alternates from round to round. Separate
-benchmark processes on a small shared machine can drift apart by more than
-a code change is worth; ops interleaved in one process see the same machine
-state, so their per-round ratio shows the change.
+each tree; the order rotates by one tree from round to round (with two
+trees, which goes first alternates). Separate benchmark processes on a small
+shared machine can drift apart by more than a code change is worth; ops
+interleaved in one process see the same machine state, so their per-round
+ratio shows the change. Given the trees of a bundle of changes applied one
+after another, the ratios give each change's own share.
 
 With ``--measure setup`` each round times a fresh ``setup`` of each tree
 instead of an op (the benchmark's ``setup_s``).
 
 Printed: per tree, the throughput (units per second of op time), the mean
-and p90 latency the workload recorded, loss, accuracy and failed share; then
-the median per-round ratio (change over parent, above 1 means the change is
-faster) and the number of rounds the change won. Nothing is written under
-either tree: set-up files go to a temporary directory.
+and p90 latency the workload recorded, loss, accuracy and failed share; then,
+for each tree after the first, the median per-round ratio over the tree
+before it (above 1 means it is faster) and the number of rounds it won. Two
+trees are labelled ``parent`` and ``change``, more ``tree1``, ``tree2``, ...
+in argument order. Nothing is written under any tree: set-up files go to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -87,18 +92,22 @@ def time_setup(tree, workload, work_dir):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent", help="checkout of the parent commit")
-    parser.add_argument("change", help="checkout of the change")
+    parser.add_argument("trees", nargs="+", metavar="TREE",
+                        help="checkouts to compare, the parent first")
     parser.add_argument("--workload", default="train",
                         choices=["train", "eval", "gradcheck"])
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--measure", choices=["op", "setup"], default="op")
     args = parser.parse_args(argv)
+    if len(args.trees) < 2:
+        parser.error("give at least two trees")
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    trees = [Tree("parent", args.parent), Tree("change", args.change)]
+    labels = (["parent", "change"] if len(args.trees) == 2 else
+              [f"tree{i}" for i in range(1, len(args.trees) + 1)])
+    trees = [Tree(label, root) for label, root in zip(labels, args.trees)]
     rates = {tree.label: [] for tree in trees}
     totals = {tree.label: [0, 0.0] for tree in trees}
     with tempfile.TemporaryDirectory(prefix="interleave-") as tmp:
@@ -108,7 +117,8 @@ def main(argv=None):
             workloads[tree.label] = tree.workloads.WORKLOADS[args.workload](args.seed)
             workloads[tree.label].setup(Path(tmp) / tree.label / "setup")
         for r in range(args.rounds):
-            for tree in (trees if r % 2 == 0 else trees[::-1]):
+            first = r % len(trees)
+            for tree in trees[first:] + trees[:first]:
                 workload = workloads[tree.label]
                 if args.measure == "op":
                     units, seconds = time_op(tree, workload)
@@ -131,13 +141,14 @@ def main(argv=None):
                          f"loss {float(loss)!r}, accuracy {float(accuracy)!r}")
             line += f", failed {workload.failed}/{workload.attempted}"
             print(line)
-    # a failed op counts no units: its round's ratio is 0 or inf
-    ratios = [c / p if p else float("inf")
-              for p, c in zip(rates["parent"], rates["change"])]
-    won = sum(ratio > 1.0 for ratio in ratios)
-    print(f"ratio change/parent: median {statistics.median(ratios):.3f} "
-          f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
-          f"change faster in {won}/{len(ratios)} rounds")
+    for before, after in zip(labels, labels[1:]):
+        # a failed op counts no units: its round's ratio is 0 or inf
+        ratios = [a / b if b else float("inf")
+                  for b, a in zip(rates[before], rates[after])]
+        won = sum(ratio > 1.0 for ratio in ratios)
+        print(f"ratio {after}/{before}: median {statistics.median(ratios):.3f} "
+              f"(min {min(ratios):.3f}, max {max(ratios):.3f}); "
+              f"{after} faster in {won}/{len(ratios)} rounds")
     return 0
 
 
