@@ -1,4 +1,4 @@
-"""A/B comparison of source trees' benchmark ops in one process.
+"""Side-by-side comparison of source trees' benchmark ops in one process.
 
     python tools/interleave.py PARENT_DIR CHANGE_DIR --workload train --rounds 10
     python tools/interleave.py TREE1 TREE2 TREE3 ... --workload train
