@@ -501,35 +501,60 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None) -> Tensor:
+def _split_heads(a, heads):
+    """(..., N, d) -> (..., heads, N, d/heads), a view."""
+    *lead, n, d = a.shape
+    return np.swapaxes(a.reshape(*lead, n, heads, d // heads), -3, -2)
+
+
+def _join_heads(a):
+    """(..., heads, N, dh) -> (..., N, heads*dh)."""
+    *lead, h, n, dh = a.shape
+    return np.swapaxes(a, -3, -2).reshape(*lead, n, h * dh)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None, heads=1) -> Tensor:
     """softmax(q k^T * scale + mask) v over the last two axes, leading axes
-    batched. `mask` is a constant array added to the scores, e.g. -1e30 above
-    the diagonal for causal attention. Non-finite scores raise NumericError
-    whether or not CHECK_FINITE is on, as `softmax` does."""
+    batched. With `heads` > 1 the (..., N, d) operands split their last axis
+    into that many heads, each attending on its own, and the heads' outputs
+    join back into (..., N, d_v). `mask` is a constant array added to the
+    scores, e.g. -1e30 above the diagonal for causal attention. Non-finite
+    scores raise NumericError whether or not CHECK_FINITE is on, as `softmax`
+    does."""
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+    if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+            or q.shape[-1] % heads or v.shape[-1] % heads):
         raise ShapeError(f"attention operands disagree: q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}")
-    scores = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) * scale
+                         f"k {k.shape}, v {v.shape}, heads {heads}")
+    split = heads > 1
+    qd, kd, vd = ((_split_heads(t.data, heads) for t in (q, k, v)) if split
+                  else (q.data, k.data, v.data))
+    scores = np.matmul(qd, np.swapaxes(kd, -1, -2)) * scale
     if mask is not None:
         scores = scores + mask
     if not _all_finite(scores):
         raise NumericError("attention received non-finite scores")
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _make(np.matmul(p, v.data), (q, k, v), "attention")
+    y = np.matmul(p, vd)
+    out = _make(_join_heads(y) if split else y, (q, k, v), "attention")
     if out.requires_grad:
+        join = _join_heads if split else (lambda a: a)
+
         def back(g):
+            if split:
+                g = _split_heads(g, heads)
             if v.requires_grad:
-                v._accum(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), g), v.shape))
+                gv = np.matmul(np.swapaxes(p, -1, -2), g)
+                v._accum(_unbroadcast(join(gv), v.shape))
             if q.requires_grad or k.requires_grad:
-                gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+                gp = np.matmul(g, np.swapaxes(vd, -1, -2))
                 gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
                 if q.requires_grad:
-                    q._accum(_unbroadcast(np.matmul(gs, k.data), q.shape))
+                    q._accum(_unbroadcast(join(np.matmul(gs, kd)), q.shape))
                 if k.requires_grad:
-                    gk = np.matmul(np.swapaxes(gs, -1, -2), q.data)
-                    k._accum(_unbroadcast(gk, k.shape))
+                    gk = np.matmul(np.swapaxes(gs, -1, -2), qd)
+                    k._accum(_unbroadcast(join(gk), k.shape))
         out._backward = back
     return out
 

@@ -82,18 +82,6 @@ class Mlp(Module):
         return self.fc2(ad.gelu(self.fc1(x)))
 
 
-def split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., N, d) -> (..., heads, N, d/heads)."""
-    *lead, n, d = x.shape
-    return x.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
-
-
-def join_heads(x: Tensor) -> Tensor:
-    """(..., heads, N, dh) -> (..., N, heads*dh)."""
-    *lead, h, n, dh = x.shape
-    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
-
-
 @functools.lru_cache(maxsize=None)
 def causal_mask(n: int) -> np.ndarray:
     """Read-only (n, n) additive mask: -1e30 above the diagonal, else 0."""
@@ -120,12 +108,10 @@ class SelfAttention(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim < 2 or x.shape[-1] != self.dim:
             raise ShapeError(f"attention expects (..., N, {self.dim}), got {x.shape}")
-        q = split_heads(self.wq(x), self.heads)
-        k = split_heads(self.wk(x), self.heads)
-        v = split_heads(self.wv(x), self.heads)
-        out = ad.attention(q, k, v, 1.0 / np.sqrt(self.dim),
-                           mask=causal_mask(x.shape[-2]))
-        return self.wo(join_heads(out))
+        out = ad.attention(self.wq(x), self.wk(x), self.wv(x),
+                           1.0 / np.sqrt(self.dim), mask=causal_mask(x.shape[-2]),
+                           heads=self.heads)
+        return self.wo(out)
 
 
 class TransformerBlock(Module):

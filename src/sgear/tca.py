@@ -50,18 +50,18 @@ class TcaBlock(nn.Module):
         self.mlp = nn.Mlp(dim, mlp_ratio * dim, rng)
 
     def _history(self, seq: Tensor) -> Tensor:
-        """Accumulated (..., T, heads, N, dh) keys or values: time moves to
-        axis 0 for `aggregate_kv` and back (a no-op for one clip)."""
-        return aggregate_kv(seq.swapaxes(0, -4), self.alpha).swapaxes(0, -4)
+        """Accumulated (..., T, N, d) keys or values: time moves to axis 0 for
+        `aggregate_kv` and back (a no-op for one clip). Mixing along time
+        commutes with the head split, so it runs before it."""
+        return aggregate_kv(seq.swapaxes(0, -3), self.alpha).swapaxes(0, -3)
 
     def attention(self, x: Tensor) -> Tensor:
         """x: (..., T, P+1, d) -> the same shape, frame t attending over
         accumulated keys/values of its own clip's frames <= t."""
-        q = nn.split_heads(self.wq(x), self.heads)      # (..., T, heads, N, dh)
-        k_hat = self._history(nn.split_heads(self.wk(x), self.heads))
-        v_hat = self._history(nn.split_heads(self.wv(x), self.heads))
-        out = ad.attention(q, k_hat, v_hat, 1.0 / np.sqrt(self.dim))
-        return self.wo(nn.join_heads(out))
+        out = ad.attention(self.wq(x), self._history(self.wk(x)),
+                           self._history(self.wv(x)), 1.0 / np.sqrt(self.dim),
+                           heads=self.heads)
+        return self.wo(out)
 
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim < 3 or x.shape[-1] != self.dim:

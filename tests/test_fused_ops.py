@@ -38,11 +38,26 @@ def composite_layer_norm(x, gain, bias, eps=1e-5):
     return xc * ((var + eps) ** -0.5) * gain + bias
 
 
-def composite_attention(q, k, v, scale, mask=None):
+def split_heads(x, heads):
+    """(..., N, d) -> (..., heads, N, d/heads)."""
+    *lead, n, d = x.shape
+    return x.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
+
+
+def join_heads(x):
+    """(..., heads, N, dh) -> (..., N, heads*dh)."""
+    *lead, h, n, dh = x.shape
+    return x.swapaxes(-3, -2).reshape(*lead, n, h * dh)
+
+
+def composite_attention(q, k, v, scale, mask=None, heads=1):
+    if heads > 1:
+        q, k, v = (split_heads(t, heads) for t in (q, k, v))
     scores = ad.matmul(q, k.mT) * scale
     if mask is not None:
         scores = scores + Tensor(mask)
-    return ad.matmul(ad.softmax(scores, axis=-1), v)
+    out = ad.matmul(ad.softmax(scores, axis=-1), v)
+    return join_heads(out) if heads > 1 else out
 
 
 # -- comparison --------------------------------------------------------------------------
