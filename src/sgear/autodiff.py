@@ -14,6 +14,7 @@ their values are bit-identical to those composites.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -374,6 +375,17 @@ def concat(tensors, axis=0):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _decay_layout(t_len):
+    """Read-only (rows, cols) of the strictly lower triangle of a (T, T)
+    matrix and the boolean mask of its lower triangle, built once per T."""
+    rows, cols = np.tril_indices(t_len, -1)
+    lower = np.tri(t_len, dtype=bool)
+    for a in (rows, cols, lower):
+        a.flags.writeable = False
+    return rows, cols, lower
+
+
 def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
     """(T, T) lower-triangular decay matrix, M[t, s] = prod(alpha[s:t]) for
     s <= t (ones on the diagonal), so M @ x runs the recurrence
@@ -387,12 +399,12 @@ def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
     if alpha.shape != (max(t_len - 1, 0),):
         raise ShapeError(f"decay_matrix needs T-1 = {t_len - 1} factors, got "
                          f"{alpha.shape}")
+    rows, cols, lower = _decay_layout(t_len)
     factors = np.ones((t_len, t_len))
-    rows, cols = np.tril_indices(t_len, -1)
     factors[rows, cols] = alpha.data[cols]
     # row t holds alpha[0..t-1] then ones; a right-to-left running product
     # gives prod(alpha[s:t]) at column s
-    m = np.tril(np.cumprod(factors[:, ::-1], axis=1)[:, ::-1])
+    m = np.where(lower, np.cumprod(factors[:, ::-1], axis=1)[:, ::-1], 0.0)
     out = _make(m, (alpha,), "decay_matrix")
     if out.requires_grad:
         out._backward = lambda g: alpha._accum(np.diagonal(m @ g.T @ m, offset=1))

@@ -15,19 +15,22 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 
-def aggregate_kv(seq: Tensor, alpha: Tensor) -> Tensor:
-    """Decayed causal sum along axis 0, out_t = sum_{s<=t} prod(alpha[s:t]) seq_s,
-    i.e. the recurrence out_0 = seq_0, out_t = seq_t + alpha[t-1] * out_{t-1}.
+def aggregate_kv(alpha: Tensor, *seqs: Tensor) -> list:
+    """Decayed causal sums along axis 0 of each (T, ...) sequence,
+    out_t = sum_{s<=t} prod(alpha[s:t]) seq_s, i.e. the recurrence
+    out_0 = seq_0, out_t = seq_t + alpha[t-1] * out_{t-1}.
 
-    Runs as one (T, T) decay-matrix product over the flattened trailing axes,
-    so clips stacked on a later axis share the matrix.
+    Builds one (T, T) decay matrix for all the sequences (a block's keys and
+    values) and runs each as one product over its flattened trailing axes, so
+    clips stacked on a later axis share the matrix.
     """
-    t_len = seq.shape[0]
+    t_len = seqs[0].shape[0]
     if alpha.shape != (max(t_len - 1, 0),):
         raise ConfigError(
             f"alpha must have length T-1 = {t_len - 1}, got {alpha.shape}")
-    mixed = ad.matmul(ad.decay_matrix(alpha, t_len), seq.reshape(t_len, -1))
-    return mixed.reshape(seq.shape)
+    decay = ad.decay_matrix(alpha, t_len)
+    return [ad.matmul(decay, seq.reshape(t_len, -1)).reshape(seq.shape)
+            for seq in seqs]
 
 
 class TcaBlock(nn.Module):
@@ -49,17 +52,19 @@ class TcaBlock(nn.Module):
         self.ln2 = nn.LayerNorm(dim)
         self.mlp = nn.Mlp(dim, mlp_ratio * dim, rng)
 
-    def _history(self, seq: Tensor) -> Tensor:
-        """Accumulated (..., T, N, d) keys or values: time moves to axis 0 for
-        `aggregate_kv` and back (a no-op for one clip). Mixing along time
-        commutes with the head split, so it runs before it."""
-        return aggregate_kv(seq.swapaxes(0, -3), self.alpha).swapaxes(0, -3)
-
     def attention(self, x: Tensor) -> Tensor:
         """x: (..., T, P+1, d) -> the same shape, frame t attending over
-        accumulated keys/values of its own clip's frames <= t."""
-        out = ad.attention(self.wq(x), self._history(self.wk(x)),
-                           self._history(self.wv(x)), 1.0 / np.sqrt(self.dim),
+        accumulated keys/values of its own clip's frames <= t.
+
+        The (..., T, N, d) keys and values move time to axis 0 for
+        `aggregate_kv` and back (a no-op for one clip). Mixing along time
+        commutes with the head split, so it runs before `attention` splits.
+        """
+        q = self.wq(x)
+        keys, values = aggregate_kv(
+            self.alpha, self.wk(x).swapaxes(0, -3), self.wv(x).swapaxes(0, -3))
+        out = ad.attention(q, keys.swapaxes(0, -3),
+                           values.swapaxes(0, -3), 1.0 / np.sqrt(self.dim),
                            heads=self.heads)
         return self.wo(out)
 

@@ -31,11 +31,14 @@ PAST_LABELS = {
 
 # -- oracle: the per-step code --------------------------------------------------
 
-def oracle_aggregate_kv(seq, alpha):
-    acc = [seq[0]]
-    for t in range(1, seq.shape[0]):
-        acc.append(seq[t] + alpha[t - 1] * acc[-1])
-    return stack(acc)
+def oracle_aggregate_kv(alpha, *seqs):
+    mixed = []
+    for seq in seqs:
+        acc = [seq[0]]
+        for t in range(1, seq.shape[0]):
+            acc.append(seq[t] + alpha[t - 1] * acc[-1])
+        mixed.append(stack(acc))
+    return mixed
 
 
 def stack(tensors):
@@ -203,8 +206,8 @@ def test_decay_matrix_entries_are_direct_products():
 
 def test_decay_matrix_matches_recurrence_with_zero_and_negative_alpha():
     seq = Tensor(np.random.default_rng(5).normal(size=(6, 2, 3)))
-    got = tca.aggregate_kv(seq, Tensor(ALPHA)).data
-    want = oracle_aggregate_kv(seq, Tensor(ALPHA)).data
+    got = tca.aggregate_kv(Tensor(ALPHA), seq)[0].data
+    want = oracle_aggregate_kv(Tensor(ALPHA), seq)[0].data
     assert np.abs(got - want).max() <= TOL
 
 
@@ -214,7 +217,7 @@ def test_decay_matrix_gradient():
     seq = Tensor(rng.normal(size=(6, 2, 3)), requires_grad=True)
     weight = Tensor(rng.normal(size=(6, 2, 3)))
     err = ad.grad_check(
-        lambda: (tca.aggregate_kv(seq, alpha) * weight).sum(), [alpha, seq])
+        lambda: (tca.aggregate_kv(alpha, seq)[0] * weight).sum(), [alpha, seq])
     assert err < 1e-8
 
 
@@ -224,7 +227,7 @@ def test_decay_matrix_gradient_matches_recurrence():
     grads = []
     for aggregate in (tca.aggregate_kv, oracle_aggregate_kv):
         alpha = Tensor(ALPHA.copy(), requires_grad=True)
-        (aggregate(Tensor(seq_data), alpha) * weight).sum().backward()
+        (aggregate(alpha, Tensor(seq_data))[0] * weight).sum().backward()
         grads.append(alpha.grad)
     assert close(*grads)
 

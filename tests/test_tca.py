@@ -14,26 +14,26 @@ class TestAggregateKv:
     def test_zero_alpha_no_history(self):
         rng = np.random.default_rng(0)
         seq = Tensor(rng.normal(size=(4, 3, 8)))
-        out = aggregate_kv(seq, Tensor(np.zeros(3)))
+        out, = aggregate_kv(Tensor(np.zeros(3)), seq)
         assert np.array_equal(out.data, seq.data)
 
     def test_telescoping_sum(self):
         c = np.full((2, 4), 1.5)
         seq = Tensor(np.stack([c, c, c]))
-        out = aggregate_kv(seq, Tensor(np.ones(2))).data
+        out = aggregate_kv(Tensor(np.ones(2)), seq)[0].data
         for t in range(3):
             assert np.abs(out[t] - (t + 1) * c).max() < 1e-12
 
     def test_unrolled_recurrence(self):
         rng = np.random.default_rng(1)
         k0, k1, k2 = rng.normal(size=(3, 2, 4))
-        out = aggregate_kv(Tensor(np.stack([k0, k1, k2])),
-                           Tensor([0.5, 0.5])).data
+        out = aggregate_kv(Tensor([0.5, 0.5]),
+                           Tensor(np.stack([k0, k1, k2])))[0].data
         assert np.abs(out[2] - (k2 + 0.5 * k1 + 0.25 * k0)).max() < 1e-12
 
     def test_alpha_length_error(self):
         with pytest.raises(ConfigError):
-            aggregate_kv(Tensor(np.zeros((3, 2, 4))), Tensor(np.zeros(3)))
+            aggregate_kv(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2, 4))))
 
 
 def reference_self_attention(block: TcaBlock, x: np.ndarray) -> np.ndarray:
