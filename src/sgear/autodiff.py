@@ -413,14 +413,25 @@ def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
 
 # -- model nonlinearities -------------------------------------------------------
 
-def sigmoid(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    s = np.where(x.data >= 0,
-                 1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    out = _make(s, (x,), "sigmoid")
+def gate_mix(logit: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """sigmoid(logit) * a + (1 - sigmoid(logit)) * b, broadcast, as one node:
+    the learned gates of the cosine head and of prototype attention."""
+    logit, a, b = _as_tensor(logit), _as_tensor(a), _as_tensor(b)
+    # both branches of the stable sigmoid are evaluated, as before
+    e = np.exp(-np.abs(logit.data))
+    s = np.where(logit.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _make(s * a.data + (1.0 - s) * b.data, (logit, a, b), "gate_mix")
     if out.requires_grad:
-        out._backward = lambda g: x._accum(g * out.data * (1.0 - out.data))
+        def back(g):
+            if logit.requires_grad:
+                ga = _unbroadcast(g * a.data, logit.shape)
+                gb = _unbroadcast(g * b.data, logit.shape)
+                logit._accum((ga - gb) * s * (1.0 - s))
+            if a.requires_grad:
+                a._accum(_unbroadcast(g * s, a.shape))
+            if b.requires_grad:
+                b._accum(_unbroadcast(g * (1.0 - s), b.shape))
+        out._backward = back
     return out
 
 

@@ -55,17 +55,14 @@ def pa_fuse(queries: Tensor, keys: Tensor, values: Tensor, delta: Tensor,
     if keys.shape[-2] != values.shape[-2]:
         raise ShapeError("keys and values must have the same sequence length")
     scores = ad.matmul(queries, keys.mT) * (1.0 / float(queries.shape[-1]))
-    gate = ad.sigmoid(beta)
-    mixed = gate * ad.softmax(scores, axis=-1) + (1.0 - gate) * delta
-    return ad.matmul(mixed, values)
+    return ad.matmul(ad.gate_mix(beta, ad.softmax(scores, axis=-1), delta), values)
 
 
 def merge(causal_cls: Tensor, fused: Tensor, lam: Tensor) -> Tensor:
     """sigmoid(lam)-weighted sum of the causal class stream and the PA output."""
     if causal_cls.shape != fused.shape:
         raise ShapeError(f"merge shape mismatch: {causal_cls.shape} vs {fused.shape}")
-    gate = ad.sigmoid(lam)
-    return gate * causal_cls + (1.0 - gate) * fused
+    return ad.gate_mix(lam, causal_cls, fused)
 
 
 class PaBlock(nn.Module):

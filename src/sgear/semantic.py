@@ -170,8 +170,7 @@ class CosineHead(nn.Module):
         return ad.matmul(weights.reshape(-1, p.shape[0]), p).reshape(*z.shape)
 
     def cosine_attention(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:
-        gate = ad.sigmoid(self.alpha)
-        return gate * z + (1.0 - gate) * self.aggregate(z, protos, subset=subset)
+        return ad.gate_mix(self.alpha, z, self.aggregate(z, protos, subset=subset))
 
     def classify(self, z_hat: Tensor):
         logits = self.w_cls(z_hat)

@@ -38,6 +38,23 @@ def composite_layer_norm(x, gain, bias, eps=1e-5):
     return xc * ((var + eps) ** -0.5) * gain + bias
 
 
+def sigmoid(x):
+    """The old `autodiff.sigmoid` op."""
+    x = ad._as_tensor(x)
+    s = np.where(x.data >= 0,
+                 1.0 / (1.0 + np.exp(-np.abs(x.data))),
+                 np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
+    out = ad._make(s, (x,), "sigmoid")
+    if out.requires_grad:
+        out._backward = lambda g: x._accum(g * out.data * (1.0 - out.data))
+    return out
+
+
+def composite_gate_mix(logit, a, b):
+    gate = sigmoid(logit)
+    return gate * a + (1.0 - gate) * b
+
+
 def split_heads(x, heads):
     """(..., N, d) -> (..., heads, N, d/heads)."""
     *lead, n, d = x.shape
@@ -202,6 +219,7 @@ def composites(monkeypatch):
         monkeypatch.setattr(ad, "linear", composite_linear)
         monkeypatch.setattr(ad, "layer_norm", composite_layer_norm)
         monkeypatch.setattr(ad, "attention", composite_attention)
+        monkeypatch.setattr(ad, "gate_mix", composite_gate_mix)
     return use
 
 

@@ -19,6 +19,8 @@ from sgear.encoder import EncoderConfig
 from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
 from sgear.semantic import LossWeights, ProtoStore
 
+from test_fused_ops import sigmoid
+
 TOL = 1e-12
 K, T, D = 6, 5, 8
 WEIGHTS = LossWeights(sem=1.3, reg=0.7, cls=1.1, past=0.9, feat=0.6)
@@ -79,7 +81,7 @@ def oracle_step_logits(model, z):
         r = oracle_relative_repr(z, protos, subset=sub)
         p = protos if sub is None else protos[np.asarray(sub, dtype=np.intp)]
         agg = ad.matmul(ad.softmax(r, axis=-1).reshape(1, -1), p).reshape(-1)
-        gate = ad.sigmoid(head.alpha)
+        gate = sigmoid(head.alpha)
         z = gate * z + (1.0 - gate) * agg
     logits = head.w_cls(z)
     return logits, ad.softmax(logits, axis=-1)
