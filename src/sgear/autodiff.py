@@ -361,6 +361,40 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def cosine(x: Tensor, p: Tensor) -> Tensor:
+    """Cosine similarities of each row of x, (d,) or (n, d), against the (m, d)
+    rows of p: (m,) or (n, m), with 1e-8 added to the product of the norms."""
+    x, p = _as_tensor(x), _as_tensor(p)
+    d = p.shape[-1]
+    if p.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ShapeError(f"cosine needs (d,) or (n, d) rows against (m, d) "
+                         f"rows, got {x.shape} and {p.shape}")
+    m = p.shape[0]
+    xs = (x.data * x.data).sum(axis=-1, keepdims=True)
+    xn = xs ** 0.5
+    ps = (p.data * p.data).sum(axis=1)
+    pn = ps ** 0.5
+    num = np.matmul(x.data.reshape(-1, d), p.data.T).reshape(*x.shape[:-1], -1)
+    # a finite denominator proves both norms finite, as checking each did
+    den = _finite("cosine", xn * pn + 1e-8)
+    inv = den ** -1.0
+    out = _make(num * inv, (x, p), "cosine")
+    if out.requires_grad:
+        def back(g):
+            gnum = (g * inv).reshape(-1, m)
+            gden = g * num * -1.0 * den ** -2.0
+            if x.requires_grad:
+                gxs = _unbroadcast(gden * pn, xn.shape) * 0.5 * xs ** -0.5
+                x._accum(np.matmul(gnum, p.data).reshape(x.shape)
+                         + 2.0 * (gxs * x.data))
+            if p.requires_grad:
+                gps = _unbroadcast(gden * xn, pn.shape) * 0.5 * ps ** -0.5
+                p._accum(np.matmul(gnum.T, x.data.reshape(-1, d))
+                         + 2.0 * (gps[:, None] * p.data))
+        out._backward = back
+    return out
+
+
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat")

@@ -115,19 +115,15 @@ def choose_subset(num_classes, ratio, seed):
     return np.sort(rng.choice(num_classes, size=size, replace=False))
 
 
+def _rows(protos: Tensor, subset=None) -> Tensor:
+    return protos if subset is None else protos[np.asarray(subset, dtype=np.intp)]
+
+
 def relative_repr(x: Tensor, protos: Tensor, subset=None) -> Tensor:
     """Cosine similarities of each row of `x`, (d,) or (n, d), against (a
     subset of) the prototype rows: (K',) or (n, K'), differentiable through
     both arguments."""
-    d = protos.shape[1]
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ShapeError(f"embedding shape {x.shape} does not match prototype "
-                         f"dim {d}")
-    p = protos if subset is None else protos[np.asarray(subset, dtype=np.intp)]
-    xn = ((x * x).sum(axis=-1, keepdims=True)) ** 0.5
-    pn = ((p * p).sum(axis=1)) ** 0.5
-    num = ad.matmul(x.reshape(-1, d), p.T).reshape(*x.shape[:-1], -1)
-    return num / (xn * pn + 1e-8)
+    return ad.cosine(x, _rows(protos, subset))
 
 
 class LanguageTargets:
@@ -164,9 +160,8 @@ class CosineHead(nn.Module):
 
     def aggregate(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:
         """softmax(r^z) . P over the subset; r^z keeps gradient to z here."""
-        r = relative_repr(z, protos, subset=subset)
-        p = protos if subset is None else protos[np.asarray(subset, dtype=np.intp)]
-        weights = ad.softmax(r, axis=-1)
+        p = _rows(protos, subset)
+        weights = ad.softmax(ad.cosine(z, p), axis=-1)
         return ad.matmul(weights.reshape(-1, p.shape[0]), p).reshape(*z.shape)
 
     def cosine_attention(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:

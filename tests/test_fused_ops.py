@@ -55,6 +55,15 @@ def composite_gate_mix(logit, a, b):
     return gate * a + (1.0 - gate) * b
 
 
+def composite_cosine(x, p):
+    """The old `semantic.relative_repr` body, past its prototype subset."""
+    d = p.shape[1]
+    xn = ((x * x).sum(axis=-1, keepdims=True)) ** 0.5
+    pn = ((p * p).sum(axis=1)) ** 0.5
+    num = ad.matmul(x.reshape(-1, d), p.T).reshape(*x.shape[:-1], -1)
+    return num / (xn * pn + 1e-8)
+
+
 def split_heads(x, heads):
     """(..., N, d) -> (..., heads, N, d/heads)."""
     *lead, n, d = x.shape
@@ -220,6 +229,7 @@ def composites(monkeypatch):
         monkeypatch.setattr(ad, "layer_norm", composite_layer_norm)
         monkeypatch.setattr(ad, "attention", composite_attention)
         monkeypatch.setattr(ad, "gate_mix", composite_gate_mix)
+        monkeypatch.setattr(ad, "cosine", composite_cosine)
     return use
 
 
