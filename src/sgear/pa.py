@@ -4,6 +4,8 @@ encoding, cosine-gated fusion and the merge with the causal class-token stream.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -33,6 +35,17 @@ def select_prototypes(sims: np.ndarray, k: int):
     return top.reshape(*top.shape[:-2], -1)
 
 
+@functools.lru_cache(maxsize=None)
+def toeplitz_index(t_len: int, m: int) -> np.ndarray:
+    """Read-only (T, m) index of each Toeplitz entry into its T+m-1 weights,
+    built once per shape."""
+    i = np.arange(t_len)[:, None]
+    j = np.arange(m)[None, :]
+    idx = np.where(j >= i, j - i, (m - 1) + (i - j))
+    idx.flags.writeable = False
+    return idx
+
+
 def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:
     """(T, m) Toeplitz matrix from T+m-1 weights: main diagonal w0,
     superdiagonals w1..w_{m-1}, subdiagonals w_m..w_{T+m-2}."""
@@ -40,10 +53,7 @@ def build_toeplitz(weights: Tensor, t_len: int, m: int) -> Tensor:
         raise ConfigError(
             f"need {t_len + m - 1} Toeplitz weights for T={t_len}, m={m}; "
             f"got {weights.shape}")
-    i = np.arange(t_len)[:, None]
-    j = np.arange(m)[None, :]
-    idx = np.where(j >= i, j - i, (m - 1) + (i - j))
-    return weights[idx]
+    return weights[toeplitz_index(t_len, m)]
 
 
 def pa_fuse(queries: Tensor, keys: Tensor, values: Tensor, delta: Tensor,
