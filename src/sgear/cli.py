@@ -158,19 +158,16 @@ def _cmd_train(args):
     return 0
 
 
+METRICS = {
+    "top1": lambda preds: evaluate.topk_accuracy(preds, 1),
+    "top5": lambda preds: evaluate.topk_accuracy(preds, 5),
+    "recall5": evaluate.class_mean_top5_recall,
+}
+
+
 def _metric_rows(preds, metric_names):
-    rows = []
-    for name in metric_names:
-        if name == "top1":
-            value = evaluate.topk_accuracy(preds, 1)
-        elif name == "top5":
-            value = evaluate.topk_accuracy(preds, 5)
-        elif name == "recall5":
-            value = evaluate.class_mean_top5_recall(preds)
-        else:
-            raise ConfigError(f"unknown metric '{name}'")
-        rows.append({"metric": name, "value": value})
-    return rows
+    return [{"metric": name, "value": METRICS[name](preds)}
+            for name in metric_names]
 
 
 def _check_compatible(config: ModelConfig, manifest, clips):
@@ -194,6 +191,8 @@ def _cmd_eval(args):
     model, _, _ = load_checkpoint(args.checkpoint)
     manifest, clips = load_dataset(args.manifest)
     _check_compatible(model.config, manifest, clips)
+    for tau in args.tau or ():          # before any prediction is made
+        evaluate.rollout_steps(model, manifest, tau)
     clip_ids = [rec.clip_id for rec in manifest.records]
     preds = evaluate.predict_dataset(model, clips, clip_ids)
     rows = _metric_rows(preds, args.metrics)
@@ -294,6 +293,7 @@ FINITE = _checked(float, math.isfinite, "finite")
 POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0,
                     "finite and above 0")
 SHARE = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+RATIO = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
 
 
 def build_parser():
@@ -335,9 +335,10 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--metrics", nargs="+", default=["top1", "top5", "recall5"])
+    p.add_argument("--metrics", nargs="+", choices=list(METRICS),
+                   default=list(METRICS))
     p.add_argument("--tau", type=FINITE, nargs="*")
-    p.add_argument("--ratios", type=float, nargs="*")
+    p.add_argument("--ratios", type=RATIO, nargs="*")
     p.add_argument("--csv-out")
     p.add_argument("--predictions-out")
     p.set_defaults(func=_cmd_eval)

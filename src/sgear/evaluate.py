@@ -121,16 +121,28 @@ def _predict_chunked(model, clips, clip_ids, n_steps=0):
     return _predictions(clips, clip_ids, scores)
 
 
+def rollout_steps(model, manifest, tau):
+    """Decoder rollout steps, round((tau - tau_train) * fps), that reach the
+    anticipation gap `tau`; ConfigError when `tau` is below the training gap
+    or needs more steps than the decoder's `max_rollout_steps`."""
+    if tau < manifest.tau_a:
+        raise ConfigError(f"tau_a {tau} below training value "
+                          f"{manifest.tau_a}")
+    n_steps = int(round((tau - manifest.tau_a) * manifest.fps))
+    limit = model.decoder.config.max_rollout_steps
+    if n_steps > limit:
+        raise ConfigError(f"tau_a {tau} needs {n_steps} rollout steps, above "
+                          f"max_rollout_steps {limit}")
+    return n_steps
+
+
 def eval_variable_tau(model, manifest, clips, tau_list, clip_ids=None,
                       metric=topk_accuracy, k=1):
     """Metric per anticipation gap; gaps beyond the training gap are reached
-    by autoregressive rollout at round((tau - tau_train) * fps) steps."""
+    by autoregressive rollout (`rollout_steps`)."""
     rows = []
     for tau in tau_list:
-        if tau < manifest.tau_a:
-            raise ConfigError(f"tau_a {tau} below training value "
-                              f"{manifest.tau_a}")
-        n_steps = int(round((tau - manifest.tau_a) * manifest.fps))
+        n_steps = rollout_steps(model, manifest, tau)
         preds = _predict_chunked(model, clips, clip_ids, n_steps=n_steps)
         value = metric(preds, k) if metric is topk_accuracy else metric(preds)
         rows.append({"tau_a": tau, "n_steps": n_steps, "metric": value})

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sgear.cli import main
+from sgear.model import SgearModel
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +233,36 @@ def test_bad_numeric_argument_exits_2(ws, tmp_path, capsys, args):
     assert code == 2
     assert rest[0] in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "m.sgck").exists()
+
+
+# eval arguments that the CLI once checked only after predicting the whole
+# set, printing the metrics and writing --csv-out and --predictions-out
+EVAL_REJECTED_BEFORE_WORK = [
+    ["--tau", "0.5"],                   # below the set's training gap, 1
+    ["--tau", "1", "99"],               # 98 rollout steps, above 32
+    ["--ratios", "5"],
+    ["--ratios", "0"],
+    ["--ratios", "1", "nan"],
+    ["--metrics", "bogus"],
+    ["--metrics", "top1", "top2"],
+]
+
+
+@pytest.mark.parametrize("args", EVAL_REJECTED_BEFORE_WORK, ids=" ".join)
+def test_bad_eval_argument_exits_2_before_any_work(ws, tmp_path, capsys,
+                                                   monkeypatch, args):
+    root, data, ckpt, _ = ws
+    predicted = []
+    monkeypatch.setattr(SgearModel, "predict",
+                        lambda self, *a, **kw: predicted.append(a))
+    csv, preds = tmp_path / "out.csv", tmp_path / "preds.jsonl"
+    code, err = run(["eval", "--checkpoint", str(ckpt), "--manifest",
+                     str(data / "manifest.jsonl"), "--csv-out", str(csv),
+                     "--predictions-out", str(preds), *args], capsys)
+    assert code == 2
+    assert args[-1] in err
+    assert predicted == []
+    assert not csv.exists() and not preds.exists()
 
 
 @pytest.mark.parametrize("which", ["feature", "prototype", "checkpoint"])
