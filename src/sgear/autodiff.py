@@ -6,10 +6,11 @@ uses of the same tensor; zeroing is explicit (``zero_grad``). The whole module
 runs in double precision by default so finite-difference verification
 (`grad_check`) is meaningful.
 
-Each graph node costs Python overhead, so `linear`, `layer_norm` and
-`attention` are one node each with an analytic backward. Their forwards run
-the numpy operations of the composites they replaced in the same order, so
-their values are bit-identical to those composites.
+Each graph node costs Python overhead, so `linear`, `layer_norm`,
+`attention` (heads included), `gate_mix` and `cosine` are one node each with
+an analytic backward. Their forwards run the numpy operations of the
+composites they replaced in the same order, so their values are
+bit-identical to those composites.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
-"""The fused autodiff ops `linear`, `layer_norm` and `attention`, and the
-one-node `sub`, against the composites they replaced.
+"""The fused autodiff ops `linear`, `layer_norm`, `attention` (heads
+included), `gate_mix` and `cosine`, and the one-node `sub`, against the
+composites they replaced.
 
 The composites below are the old code paths, kept as oracles. A fused op runs
 the same numpy operations in the same order, so its forward must be
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import sgear.autodiff as ad
-from sgear import nn
+from sgear import nn, semantic
 from sgear.autodiff import Tensor
 from sgear.errors import NumericError, ShapeError
 from sgear.semantic import LossWeights
+from sgear.tca import TcaBlock
 
 from test_batch_oracle import WEIGHTS, bench_model, count_nodes, make_clips, make_model
 
@@ -185,6 +187,15 @@ ATTENTION_SHAPES = {
     "rectangular": ((2, 3, 4), (2, 6, 4)),
 }
 
+# the same shapes before the head split: (..., N, d) operands and `heads`
+MULTI_HEAD_SHAPES = {
+    "self-attention": ((2, 3, 4, 8), (2, 3, 4, 8), 2),
+    "tca-clip": ((3, 5, 16), (3, 5, 16), 2),
+    "tca-batch": ((4, 3, 5, 16), (4, 3, 5, 16), 2),
+    "rectangular": ((2, 3, 12), (2, 6, 12), 3),
+    "four-heads": ((2, 4, 8), (2, 4, 8), 4),
+}
+
 
 @pytest.mark.parametrize("case", sorted(ATTENTION_SHAPES))
 @pytest.mark.parametrize("masked", [False, True])
@@ -204,6 +215,59 @@ def test_attention_matches_composite(case, masked, frozen):
                    [q, k, v], rng)
 
 
+@pytest.mark.parametrize("case", sorted(MULTI_HEAD_SHAPES))
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("frozen", [None, "q", "k", "v", "qk"])
+def test_multi_head_attention_matches_split_and_join(case, masked, frozen):
+    """Heads split and joined inside the op against the Tensor-level split,
+    the composite attention and the join."""
+    q_shape, k_shape, heads = MULTI_HEAD_SHAPES[case]
+    rng = np.random.default_rng(40 + len(q_shape) + heads)
+    v_shape = (*k_shape[:-1], 6) if case == "rectangular" else k_shape
+    q, k, v = tensors(rng, q_shape, k_shape, v_shape)
+    for name, t in zip("qkv", (q, k, v)):
+        t.requires_grad = frozen is None or name not in frozen
+    nq, nk = q_shape[-2], k_shape[-2]
+    mask = np.triu(np.full((nq, nk), -1e30), k=1) if masked else None
+    scale = 1.0 / np.sqrt(q_shape[-1])
+    assert_matches(lambda *a: ad.attention(*a, scale, mask=mask, heads=heads),
+                   lambda *a: composite_attention(*a, scale, mask=mask,
+                                                  heads=heads),
+                   [q, k, v], rng)
+
+
+def split_first_tca_attention(block, x):
+    """`TcaBlock.attention` as it was: heads split first, then each head's
+    keys and values mixed along time, one decay matrix each."""
+    def history(seq):
+        seq = seq.swapaxes(0, -4)
+        t_len = seq.shape[0]
+        mixed = ad.matmul(ad.decay_matrix(block.alpha, t_len),
+                          seq.reshape(t_len, -1)).reshape(seq.shape)
+        return mixed.swapaxes(0, -4)
+
+    q = split_heads(block.wq(x), block.heads)
+    k_hat = history(split_heads(block.wk(x), block.heads))
+    v_hat = history(split_heads(block.wv(x), block.heads))
+    out = composite_attention(q, k_hat, v_hat, 1.0 / np.sqrt(block.dim))
+    return block.wo(join_heads(out))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-clip", "batched"])
+def test_tca_attention_matches_the_split_first_path(lead):
+    """Keys and values mixed along time before the head split: forward
+    bit-equal, gradients within TOL, for one clip and a batch of clips."""
+    rng = np.random.default_rng(50 + len(lead))
+    block = TcaBlock(16, 2, 4, rng)
+    block.alpha.data[...] = [0.8, -0.3, 1.2]
+    x = Tensor(rng.normal(size=(*lead, 4, 3, 16)), requires_grad=True)
+    params = [p for name, p in block.parameters().items()
+              if name.split(".")[0] in ("wq", "wk", "wv", "wo", "alpha")]
+    assert_matches(lambda x, *_: block.attention(x),
+                   lambda x, *_: split_first_tca_attention(block, x),
+                   [x, *params], rng)
+
+
 def test_causal_mask_is_built_once_and_read_only():
     mask = nn.causal_mask(4)
     assert nn.causal_mask(4) is mask
@@ -217,6 +281,108 @@ def test_attention_shape_errors():
         ad.attention(q, k, v, 0.5)
     with pytest.raises(ShapeError):
         ad.attention(q, Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 5, 4))), 0.5)
+
+
+# -- gate_mix ----------------------------------------------------------------------------
+
+GATE_SHAPES = {
+    # the cosine head's alpha on one embedding and on a stack of them
+    "head-1d": ((), (8,), (8,)),
+    "head-rows": ((), (5, 8), (5, 8)),
+    # prototype attention's beta: the (T, m) Toeplitz matrix broadcasts
+    # across the clips' (B, T, m) attention
+    "pa-delta": ((), (3, 4, 6), (4, 6)),
+    # the merge gate lam on (B, T, d) streams
+    "merge": ((), (3, 4, 8), (3, 4, 8)),
+    # a gate per entry
+    "elementwise": ((2, 3), (2, 3), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_SHAPES))
+@pytest.mark.parametrize("frozen", [None, "g", "a", "b", "ab", "gab"])
+def test_gate_mix_matches_composite(case, frozen):
+    rng = np.random.default_rng(60 + len(case))
+    logit, a, b = tensors(rng, *GATE_SHAPES[case])
+    for name, t in zip("gab", (logit, a, b)):
+        t.requires_grad = frozen is None or name not in frozen
+    assert_matches(ad.gate_mix, composite_gate_mix, [logit, a, b], rng)
+
+
+@pytest.mark.parametrize("logit", [-800.0, -30.0, 0.0, 30.0, 800.0])
+def test_gate_mix_saturated_gates(logit):
+    """Both branches of the stable sigmoid, and gates that round to 0 or 1."""
+    rng = np.random.default_rng(61)
+    a, b = tensors(rng, (4,), (4,))
+    assert_matches(ad.gate_mix, composite_gate_mix,
+                   [Tensor(logit, requires_grad=True), a, b], rng)
+
+
+# -- cosine ------------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x_shape", [(8,), (5, 8)], ids=["1d", "rows"])
+@pytest.mark.parametrize("frozen", [None, "x", "p"])
+def test_cosine_matches_composite(x_shape, frozen):
+    rng = np.random.default_rng(70 + len(x_shape))
+    x, p = tensors(rng, x_shape, (6, 8))
+    x.requires_grad = frozen != "x"
+    p.requires_grad = frozen != "p"
+    assert_matches(ad.cosine, composite_cosine, [x, p], rng)
+
+
+def test_cosine_of_a_zero_row():
+    """eps keeps the value finite, as in the composite."""
+    rng = np.random.default_rng(71)
+    x = Tensor(np.zeros((2, 8)))
+    x.data[1] = rng.normal(size=8)
+    p = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    assert_matches(ad.cosine, composite_cosine, [x, p], rng)
+
+
+@pytest.mark.parametrize("x_shape", [(8,), (5, 8)], ids=["1d", "rows"])
+def test_relative_repr_with_a_prototype_subset(x_shape):
+    rng = np.random.default_rng(72)
+    x, protos = tensors(rng, x_shape, (6, 8))
+    subset = np.array([1, 3, 4])
+    assert_matches(lambda x, p: semantic.relative_repr(x, p, subset=subset),
+                   lambda x, p: composite_cosine(x, p[subset]),
+                   [x, protos], rng)
+
+
+@pytest.mark.parametrize("subset", [None, [0, 2, 5]], ids=["all", "subset"])
+@pytest.mark.parametrize("frozen_protos", [False, True])
+def test_loss_sem_matches_composite(subset, frozen_protos, monkeypatch):
+    """The detached embedding gets no gradient; learned prototypes get the
+    composite's, frozen ones (the language-as-visual ablation) none."""
+    rng = np.random.default_rng(73)
+    z, protos = tensors(rng, (4, 8), (6, 8))
+    protos.requires_grad = not frozen_protos
+    k = 6 if subset is None else len(subset)
+    target = Tensor(rng.uniform(-1.0, 1.0, size=(4, k)))
+    pool = rng.dirichlet(np.ones(4), size=2)
+
+    def loss(z, protos):
+        return semantic.loss_sem(z, protos, target, subset=subset, pool=pool)
+
+    fused = run(loss, [z, protos], np.ones(2))
+    monkeypatch.setattr(ad, "cosine", composite_cosine)
+    want = run(loss, [z, protos], np.ones(2))
+    assert np.array_equal(fused[0], want[0])
+    if frozen_protos:
+        assert fused[1] is None and want[1] is None
+    else:
+        assert fused[1][0] is None and want[1][0] is None
+        assert rel_err(fused[1][1], want[1][1]) <= TOL
+
+
+def test_cosine_shape_errors():
+    x, p = tensors(np.random.default_rng(74), (2, 8), (6, 8))
+    with pytest.raises(ShapeError):
+        ad.cosine(x, Tensor(np.zeros((6, 7))))
+    with pytest.raises(ShapeError):
+        ad.cosine(Tensor(np.zeros((2, 3, 8))), p)
+    with pytest.raises(ShapeError):
+        ad.cosine(x, Tensor(np.zeros(8)))
 
 
 # -- the model through fused ops against the model through composites ---------------------
@@ -302,6 +468,7 @@ def fused_cases(rng):
     xn, gain, bias = tensors(rng, (2, 3, 6), (6,), (6,))
     q, k, v = tensors(rng, (2, 2, 4, 3), (2, 2, 4, 3), (2, 2, 4, 3))
     a, c = tensors(rng, (3, 4), (4,))
+    lg = Tensor(0.3, requires_grad=True)
     mask = np.triu(np.full((4, 4), -1e30), k=1)
 
     def weighted(t):
@@ -317,6 +484,13 @@ def fused_cases(rng):
         "attention": (lambda: weighted(ad.attention(q, k, v, 0.7)), [q, k, v]),
         "attention-masked": (lambda: weighted(ad.attention(q, k, v, 0.7, mask)),
                              [q, k, v]),
+        "attention-heads": (lambda: weighted(ad.attention(xn, xn * 0.5, xn, 0.7,
+                                                          heads=2)), [xn]),
+        "gate_mix": (lambda: weighted(ad.gate_mix(c, a, a * a)), [c, a]),
+        "gate_mix-broadcast": (lambda: weighted(ad.gate_mix(lg, xn, gain)),
+                               [lg, xn, gain]),
+        "cosine": (lambda: weighted(ad.cosine(a, w)), [a, w]),
+        "cosine-1d": (lambda: weighted(ad.cosine(v1, w.T)), [v1, w]),
         "sub-broadcast": (lambda: weighted((a - c) * (c - a)), [a, c]),
         "rsub": (lambda: weighted(1.5 - a * a), [a]),
     }
@@ -368,20 +542,58 @@ def test_layer_norm_checks_its_variance(monkeypatch):
         ad.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
 
 
+def non_finite_cases():
+    """Operands that made a composite raise under CHECK_FINITE, by case."""
+    rows, protos = np.ones((2, 4)), np.ones((3, 4))
+    big, nan = rows.copy(), rows.copy()
+    big[1, 0] = 1e200                 # its square overflows, the cosine is 0
+    nan[0, 2] = np.nan
+    vec, inf = np.ones(4), np.ones(4)
+    inf[3] = np.inf
+    return {
+        "cosine-x-norm-overflow": ("cosine", [big, protos]),
+        "cosine-p-norm-overflow": ("cosine", [rows, big]),
+        "cosine-nan": ("cosine", [nan, protos]),
+        "gate_mix-inf-a": ("gate_mix", [0.0, inf, vec]),
+        "gate_mix-closed-gate-inf-a": ("gate_mix", [-800.0, inf, vec]),
+        "gate_mix-open-gate-inf-b": ("gate_mix", [800.0, vec, inf]),
+        "gate_mix-nan-logit": ("gate_mix", [np.nan, vec, vec]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(non_finite_cases()))
+def test_fused_op_raises_where_the_composite_raised(case, monkeypatch):
+    monkeypatch.setattr(ad, "CHECK_FINITE", True)
+    op, operands = non_finite_cases()[case]
+    composite = {"cosine": composite_cosine, "gate_mix": composite_gate_mix}[op]
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError):
+            composite(*[Tensor(o) for o in operands])
+        with pytest.raises(NumericError, match=f"'{op}'"):
+            getattr(ad, op)(*[Tensor(o) for o in operands])
+
+
 # -- graph size --------------------------------------------------------------------------
 
-def test_fused_node_counts():
+def test_fused_node_counts(monkeypatch):
     """With the fused ops the benchmark's gradcheck model (one clip) builds
-    at most 210 nodes and a four-clip batch of the train shape at most 220;
+    at most 152 nodes, a four-clip batch of the train shape at most 159, and
+    one clip's `predict` runs at most 58 ops;
     test_batch_oracle.test_node_counts keeps the older, looser bounds."""
     weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
     model = bench_model(6, 3)
     feats = np.random.default_rng(3).normal(size=(3, 5, 16))
     one = model.total_loss(feats, 0, weights, past_labels=[None, 1, 2])["loss"]
-    assert count_nodes(one) <= 210
+    assert count_nodes(one) <= 152
 
     model = bench_model(12, 8)
     feats = np.random.default_rng(4).normal(size=(4, 8, 2, 16))
     past = [[None] + [1] * 7, None, [2, None] * 4, [None] * 8]
     four = model.total_loss(feats, [0, 5, 7, 11], weights, past_labels=past)["loss"]
-    assert count_nodes(four) <= 220
+    assert count_nodes(four) <= 159
+
+    ops = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda *args: ops.append(args[2]) or make(*args))
+    model.predict(feats[0])
+    assert len(ops) <= 58

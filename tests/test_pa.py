@@ -7,7 +7,7 @@ import sgear.autodiff as ad
 from sgear.autodiff import Tensor
 from sgear.errors import ConfigError, ShapeError
 from sgear.pa import (PaBlock, build_toeplitz, frame_relative_repr, merge,
-                      pa_fuse, select_prototypes)
+                      pa_fuse, select_prototypes, toeplitz_index)
 
 
 def logit(p):
@@ -93,6 +93,13 @@ class TestToeplitz:
         build_toeplitz(w, 3, 3).sum().backward()
         # w0 sits on the 3-element main diagonal, w1 on 2 cells, etc.
         assert np.array_equal(w.grad, [3.0, 2.0, 1.0, 2.0, 1.0])
+
+    def test_index_is_built_once_and_read_only(self):
+        idx = toeplitz_index(3, 6)
+        assert toeplitz_index(3, 6) is idx
+        assert not idx.flags.writeable
+        i, j = np.arange(3)[:, None], np.arange(6)[None, :]
+        assert np.array_equal(idx, np.where(j >= i, j - i, 5 + (i - j)))
 
 
 class TestPaFuse:

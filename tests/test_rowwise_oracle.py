@@ -206,6 +206,21 @@ def test_decay_matrix_entries_are_direct_products():
             assert m[t, s] == expect
 
 
+@pytest.mark.parametrize("t_len", [1, 2, 6])
+def test_decay_matrix_layout_is_cached_and_bit_equal(t_len):
+    """The cached triangle indices and mask build the matrix the per-call
+    np.tril_indices and np.tril did, bit for bit."""
+    alpha = ALPHA[:t_len - 1]
+    factors = np.ones((t_len, t_len))
+    rows, cols = np.tril_indices(t_len, -1)
+    factors[rows, cols] = alpha[cols]
+    want = np.tril(np.cumprod(factors[:, ::-1], axis=1)[:, ::-1])
+    assert np.array_equal(ad.decay_matrix(Tensor(alpha), t_len).data, want)
+    layout = ad._decay_layout(t_len)
+    assert ad._decay_layout(t_len) is layout
+    assert not any(a.flags.writeable for a in layout)
+
+
 def test_decay_matrix_matches_recurrence_with_zero_and_negative_alpha():
     seq = Tensor(np.random.default_rng(5).normal(size=(6, 2, 3)))
     got = tca.aggregate_kv(Tensor(ALPHA), seq)[0].data
