@@ -376,7 +376,8 @@ def cosine(x: Tensor, p: Tensor) -> Tensor:
     ps = (p.data * p.data).sum(axis=1)
     pn = ps ** 0.5
     num = np.matmul(x.data.reshape(-1, d), p.data.T).reshape(*x.shape[:-1], -1)
-    # a finite denominator proves both norms finite, as checking each did
+    # a finite denominator proves both norms finite: a squared norm that
+    # overflows would otherwise give a finite cosine of 0
     den = _finite("cosine", xn * pn + 1e-8)
     inv = den ** -1.0
     out = _make(num * inv, (x, p), "cosine")
@@ -452,7 +453,6 @@ def gate_mix(logit: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """sigmoid(logit) * a + (1 - sigmoid(logit)) * b, broadcast, as one node:
     the learned gates of the cosine head and of prototype attention."""
     logit, a, b = _as_tensor(logit), _as_tensor(a), _as_tensor(b)
-    # both branches of the stable sigmoid are evaluated, as before
     e = np.exp(-np.abs(logit.data))
     s = np.where(logit.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _make(s * a.data + (1.0 - s) * b.data, (logit, a, b), "gate_mix")

@@ -327,7 +327,7 @@ def build_parser():
     p.add_argument("--epochs", type=COUNT)
     p.add_argument("--lr", type=POSITIVE)
     p.add_argument("--batch-size", type=COUNT)
-    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--ratio", type=RATIO, default=1.0)
     p.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p.add_argument("--log-every", type=NON_NEGATIVE, default=0)
     p.set_defaults(func=_cmd_train)

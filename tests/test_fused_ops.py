@@ -396,6 +396,7 @@ def composites(monkeypatch):
         monkeypatch.setattr(ad, "attention", composite_attention)
         monkeypatch.setattr(ad, "gate_mix", composite_gate_mix)
         monkeypatch.setattr(ad, "cosine", composite_cosine)
+        monkeypatch.setattr(TcaBlock, "attention", split_first_tca_attention)
     return use
 
 

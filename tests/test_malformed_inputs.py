@@ -212,6 +212,8 @@ BAD_ARGUMENTS = [
     ["train", "--lr", "-1"],
     ["train", "--lr", "0"],
     ["train", "--log-every", "-1"],
+    ["train", "--ratio", "5"],        # once raised only after pre-training
+    ["train", "--ratio", "0"],
     ["analyze", "--top", "0"],
     ["analyze", "--top", "-2"],
 ]
