@@ -285,18 +285,6 @@ class Tensor:
 
     # -- nonlinearities -------------------------------------------------------
 
-    def exp(self):
-        out = _make(np.exp(self.data), (self,), "exp")
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g * out.data)
-        return out
-
-    def log(self):
-        out = _make(np.log(self.data), (self,), "log")
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(g / self.data)
-        return out
-
     def abs(self):
         out = _make(np.abs(self.data), (self,), "abs")
         if out.requires_grad:
@@ -339,21 +327,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for (in, out) weights: x is (in,) or (..., in)."""
+    """x @ w + b for (in, out) weights and rows x of shape (..., n, in)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0]
+    if (w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0]
             or b.shape != (w.shape[1],)):
         raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, "
                          f"b {b.shape}")
-    # a 1-d x runs as one row: the product the composite ran, bit for bit
-    xd = x.data.reshape(1, -1) if x.ndim == 1 else x.data
-    y = np.matmul(xd, w.data) + b.data
-    out = _make(y.reshape(-1) if x.ndim == 1 else y, (x, w, b), "linear")
+    out = _make(np.matmul(x.data, w.data) + b.data, (x, w, b), "linear")
     if out.requires_grad:
         def back(g):
             g2 = g.reshape(-1, w.shape[1])
             if x.requires_grad:
-                x._accum(np.matmul(g, w.data.T).reshape(x.shape))
+                x._accum(np.matmul(g, w.data.T))
             if w.requires_grad:
                 w._accum(np.matmul(x.data.reshape(-1, w.shape[0]).T, g2))
             if b.requires_grad:
@@ -363,19 +348,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def cosine(x: Tensor, p: Tensor) -> Tensor:
-    """Cosine similarities of each row of x, (d,) or (n, d), against the (m, d)
-    rows of p: (m,) or (n, m), with 1e-8 added to the product of the norms."""
+    """(n, m) cosine similarities of the (n, d) rows of x against the (m, d)
+    rows of p, with 1e-8 added to the product of the norms."""
     x, p = _as_tensor(x), _as_tensor(p)
-    d = p.shape[-1]
-    if p.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ShapeError(f"cosine needs (d,) or (n, d) rows against (m, d) "
-                         f"rows, got {x.shape} and {p.shape}")
-    m = p.shape[0]
+    if p.ndim != 2 or x.ndim != 2 or x.shape[-1] != p.shape[-1]:
+        raise ShapeError(f"cosine needs (n, d) rows against (m, d) rows, got "
+                         f"{x.shape} and {p.shape}")
     xs = (x.data * x.data).sum(axis=-1, keepdims=True)
     xn = xs ** 0.5
     ps = (p.data * p.data).sum(axis=1)
     pn = ps ** 0.5
-    num = np.matmul(x.data.reshape(-1, d), p.data.T).reshape(*x.shape[:-1], -1)
+    num = np.matmul(x.data, p.data.T)
     # a finite denominator proves both norms finite: a squared norm that
     # overflows would otherwise give a finite cosine of 0
     den = _finite("cosine", xn * pn + 1e-8)
@@ -383,15 +366,14 @@ def cosine(x: Tensor, p: Tensor) -> Tensor:
     out = _make(num * inv, (x, p), "cosine")
     if out.requires_grad:
         def back(g):
-            gnum = (g * inv).reshape(-1, m)
+            gnum = g * inv
             gden = g * num * -1.0 * den ** -2.0
             if x.requires_grad:
                 gxs = _unbroadcast(gden * pn, xn.shape) * 0.5 * xs ** -0.5
-                x._accum(np.matmul(gnum, p.data).reshape(x.shape)
-                         + 2.0 * (gxs * x.data))
+                x._accum(np.matmul(gnum, p.data) + 2.0 * (gxs * x.data))
             if p.requires_grad:
                 gps = _unbroadcast(gden * xn, pn.shape) * 0.5 * ps ** -0.5
-                p._accum(np.matmul(gnum.T, x.data.reshape(-1, d))
+                p._accum(np.matmul(gnum.T, x.data)
                          + 2.0 * (gps[:, None] * p.data))
         out._backward = back
     return out
@@ -499,14 +481,11 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Negative log-probability of `target` under softmax over the last axis.
-
-    1-d logits with an int target give a scalar; (n, K) logits with n targets
-    give one value per row.
-    """
+    """(n,) negative log-probabilities of the n targets under a softmax over
+    each row of the (n, K) logits."""
     logits = _as_tensor(logits)
-    if logits.ndim not in (1, 2):
-        raise ShapeError(f"cross_entropy expects 1-d or 2-d logits, got "
+    if logits.ndim != 2:
+        raise ShapeError(f"cross_entropy expects (n, K) logits, got "
                          f"{logits.shape}")
     k = logits.shape[-1]
     target = np.asarray(target, dtype=np.intp)
@@ -515,16 +494,15 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
                          f"{logits.shape}")
     if np.any((target < 0) | (target >= k)):
         raise IndexError(f"target {target} out of range for {k} classes")
-    onehot = np.arange(k) == target[..., None]
+    onehot = np.arange(k) == target[:, None]
     m = logits.data.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True))
-    out = _make((lse - logits.data)[onehot].reshape(target.shape), (logits,),
-                "cross_entropy")
+    out = _make((lse - logits.data)[onehot], (logits,), "cross_entropy")
     if out.requires_grad:
         p = np.exp(logits.data - lse)
         def back(g):
-            gl = p * g[..., None]
-            gl[onehot] -= g.reshape(-1)
+            gl = p * g[:, None]
+            gl[onehot] -= g
             logits._accum(gl)
         out._backward = back
     return out

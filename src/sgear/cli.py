@@ -224,18 +224,18 @@ def _cmd_eval(args):
 
 
 def _cmd_ensemble(args):
-    sets = [evaluate.read_predictions(p) for p in args.inputs]
+    n_sets = len(args.inputs)
     if args.preset:
-        weights = evaluate.ENSEMBLE_PRESETS[args.preset][:len(sets)]
-    elif args.weights:
-        weights = args.weights
+        weights = evaluate.ENSEMBLE_PRESETS[args.preset][:n_sets]
     else:
-        weights = [1.0] * len(sets)
-    if len(weights) != len(sets):
-        raise ConfigError(f"{len(sets)} inputs but {len(weights)} weights")
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ConfigError(
-            f"weights must be finite and non-negative, got {weights}")
+        weights = args.weights or [1.0] * n_sets
+    if len(weights) != n_sets:
+        raise ConfigError(f"{n_sets} inputs but {len(weights)} weights")
+    if not (all(math.isfinite(w) and w >= 0 for w in weights)
+            and sum(weights) > 0):
+        raise ConfigError(f"weights must be finite and non-negative with a "
+                          f"positive sum, got {weights}")
+    sets = [evaluate.read_predictions(p) for p in args.inputs]
     fused = evaluate.late_fuse(list(zip(sets, weights)))
     evaluate.write_predictions(args.out, fused)
     print(f"fused {len(sets)} sets -> {args.out}")
@@ -345,8 +345,9 @@ def build_parser():
 
     p = sub.add_parser("ensemble", help="late-fuse prediction files")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--weights", type=float, nargs="*")
-    p.add_argument("--preset", choices=sorted(evaluate.ENSEMBLE_PRESETS))
+    weighting = p.add_mutually_exclusive_group()
+    weighting.add_argument("--weights", type=float, nargs="+")
+    weighting.add_argument("--preset", choices=sorted(evaluate.ENSEMBLE_PRESETS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ensemble)
 

@@ -1,10 +1,12 @@
 """Per-frame visual encoders producing the token streams the model consumes.
 
-Two modes, each taking one clip or a batch of clips on leading axes and
-returning a (..., T, tokens, d) Tensor:
+Two modes, each taking (..., T, tokens, d) features, leading axes
+independent (the model passes a clip axis, of length one for one clip), and
+returning a Tensor of the same shape:
 
-* ``adapter``   -- pre-extracted (T, d) features mapped through a learnable
-  affine layer and normalized by visual-prototype channel statistics.
+* ``adapter``   -- pre-extracted single-token (..., T, 1, d) features mapped
+  through a learnable affine layer and normalized by visual-prototype
+  channel statistics.
 * ``passthrough`` -- stored multi-token features passed through one learnable
   affine map (used with synthetic token datasets where the upstream encoder
   is simulated by the data generator).
@@ -32,7 +34,8 @@ class EncoderConfig:
 
 
 class FeatureAdapter(nn.Module):
-    """Map pre-extracted (T, d) features into the visual prototypes' range.
+    """Map pre-extracted (..., T, 1, d) features into the visual prototypes'
+    range.
 
     I_t = (lin(x_t) - mu) / sigma with mu/sigma channelwise statistics over
     the K visual prototypes; sigma floored at 1e-6.
@@ -79,11 +82,9 @@ class FeatureAdapter(nn.Module):
                 "adapter needs visual-prototype statistics; call "
                 "set_prototype_stats first")
         x = feats if isinstance(feats, Tensor) else Tensor(np.asarray(feats))
-        if x.ndim == 2:                       # (T, d): one clip, one token
-            x = x.reshape(x.shape[0], 1, x.shape[1])
         if x.ndim < 3 or x.shape[-1] != self.config.d:
-            raise ShapeError(f"adapter expects (..., T, 1, {self.config.d}) or "
-                             f"(T, {self.config.d}), got {x.shape}")
+            raise ShapeError(f"adapter expects (..., T, 1, {self.config.d}), "
+                             f"got {x.shape}")
         if x.shape[-2] != 1:
             raise ShapeError("adapter features must have a single token")
         return (self.lin(x) - self._mu) * self._inv_sigma

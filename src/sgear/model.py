@@ -136,7 +136,7 @@ class SgearModel(nn.Module):
         return cls_causal
 
     def step_logits(self, z: Tensor):
-        """Route decoder embeddings, one (d,) or a stack (n, d), through the
+        """Route a stack of decoder embeddings (n, d) through the
         classification head."""
         sub = self._subset_or_none()
         if self.use_cosine_head:
@@ -146,9 +146,9 @@ class SgearModel(nn.Module):
         return self.head.classify(z)
 
     def step_probs(self, z: Tensor) -> np.ndarray:
-        """Class probabilities, (K,) for one decoder embedding (d,) or (B, K)
-        for a stack (B, d); with a prototype subset active the softmax runs
-        over the subset's logits only and the other classes score 0."""
+        """(n, K) class probabilities of a stack of decoder embeddings (n, d);
+        with a prototype subset active the softmax runs over the subset's
+        logits only and the other classes score 0."""
         logits, probs = self.step_logits(z)
         sub = self._subset_or_none()
         if sub is None:
@@ -166,7 +166,8 @@ class SgearModel(nn.Module):
         list, entry t the class of frame t or None; step t < T-1 predicts
         past_labels[t+1]. A batch of B clips: `inputs` gains a leading clip
         axis, `target` is a sequence of B classes and `past_labels` None or B
-        such lists (each may be None). The batch builds one graph.
+        such lists (each may be None). One clip runs as a batch of one; either
+        way the call builds one graph.
 
         The labelled steps form rows: each clip's final step T-1 first, then
         the (clip, t) with past_labels[t+1] known, in order. The head and each
@@ -175,30 +176,30 @@ class SgearModel(nn.Module):
         means over its rows and `feat` one shifted squared error over its
         steps: scalars for one clip, (B,) vectors for a batch.
         """
-        batched = np.ndim(target) == 1
-        targets = list(target) if batched else [target]
-        if not batched:
-            past_labels = [past_labels]
+        one = np.ndim(target) == 0
+        if one:
+            inputs = np.asarray(inputs)[None]
+            target, past_labels = [target], [past_labels]
         elif past_labels is None:
-            past_labels = [None] * len(targets)
-        t_len = self.config.frames
-        rows = [(b, t_len - 1, y) for b, y in enumerate(targets)]
+            past_labels = [None] * len(target)
+        n_clips, t_len = len(target), self.config.frames
+        rows = [(b, t_len - 1, y) for b, y in enumerate(target)]
         rows += [(b, t, past[t + 1]) for b, past in enumerate(past_labels) if past
                  for t in range(t_len - 1) if past[t + 1] is not None]
         clip, step, labels = (np.array(col) for col in zip(*rows))
-        # (B, n) row ownership; one clip drops the clip axis throughout
-        own = clip == np.arange(len(targets))[:, None]
-        final = np.arange(len(targets))
-        if not batched:
+        # (B, n) row ownership; for one clip the parts drop the clip axis here
+        own = clip == np.arange(n_clips)[:, None]
+        final = np.arange(n_clips)
+        if one:
             own, final = own[0], 0
-        past_rows = own & (np.arange(len(rows)) >= len(targets))
+        past_rows = own & (np.arange(len(rows)) >= n_clips)
         pool = own / own.sum(axis=-1, keepdims=True)
         no_part = Tensor(np.zeros(np.shape(final)))
 
         sub = self._subset_or_none()
         merged = self.encode_merge(inputs)
         future = self.decoder.decode(merged)
-        z = future[(clip, step) if batched else step]
+        z = future[clip, step]
         logits, probs = self.step_logits(z)
         ce = semantic.loss_cls(logits, labels)
         parts = {"cls": ce[final], "past": (ce * past_rows).sum(axis=-1)}
@@ -211,10 +212,9 @@ class SgearModel(nn.Module):
             subset=sub, pool=pool) if self.config.toggles.sem else no_part)
         parts["reg"] = (semantic.loss_reg(z, protos, labels, pool=pool)
                         if self.use_cosine_head else no_part)
-        parts["feat"], feat_empty = semantic.loss_feat(future, merged)
+        feat, feat_empty = semantic.loss_feat(future, merged)
+        parts["feat"] = feat[final]
         return {
-            "merged": merged,
-            "future": future,
             "logits": logits[final],
             "probs": probs[final],
             "parts": parts,
@@ -234,11 +234,16 @@ class SgearModel(nn.Module):
 
     def predict(self, inputs, n_steps=0) -> np.ndarray:
         """Class probabilities, (K,) for one clip (T, tokens, d) or (B, K) for
-        a stack of clips (B, T, tokens, d); n_steps > 0 rolls the decoder
-        forward autoregressively before classifying. Builds no graph."""
+        a stack of clips (B, T, tokens, d); one clip runs as a stack of one.
+        n_steps > 0 rolls the decoder forward autoregressively before
+        classifying. Builds no graph."""
+        one = np.ndim(inputs) == 3
+        if one:
+            inputs = np.asarray(inputs)[None]
         with ad.no_grad():
             future = self.decoder.rollout(self.encode_merge(inputs), n_steps)
-            return self.step_probs(future[..., -1, :])
+            probs = self.step_probs(future[..., -1, :])
+        return probs[0] if one else probs
 
     # -- registry ------------------------------------------------------------------
 

@@ -120,9 +120,8 @@ def _rows(protos: Tensor, subset=None) -> Tensor:
 
 
 def relative_repr(x: Tensor, protos: Tensor, subset=None) -> Tensor:
-    """Cosine similarities of each row of `x`, (d,) or (n, d), against (a
-    subset of) the prototype rows: (K',) or (n, K'), differentiable through
-    both arguments."""
+    """(n, K') cosine similarities of the (n, d) rows of `x` against (a
+    subset of) the prototype rows, differentiable through both arguments."""
     return ad.cosine(x, _rows(protos, subset))
 
 
@@ -151,8 +150,8 @@ class LanguageTargets:
 
 class CosineHead(nn.Module):
     """Mix the decoder embedding with a similarity-weighted prototype
-    aggregate, then project to class logits. Every method takes one
-    embedding (d,) or a stack of them (n, d) and works row by row."""
+    aggregate, then project to class logits. Every method takes a stack of
+    embeddings (n, d) and works row by row."""
 
     def __init__(self, d, num_classes, rng):
         self.alpha = Tensor(np.asarray(0.0), requires_grad=True)
@@ -161,8 +160,7 @@ class CosineHead(nn.Module):
     def aggregate(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:
         """softmax(r^z) . P over the subset; r^z keeps gradient to z here."""
         p = _rows(protos, subset)
-        weights = ad.softmax(ad.cosine(z, p), axis=-1)
-        return ad.matmul(weights.reshape(-1, p.shape[0]), p).reshape(*z.shape)
+        return ad.matmul(ad.softmax(ad.cosine(z, p), axis=-1), p)
 
     def cosine_attention(self, z: Tensor, protos: Tensor, subset=None) -> Tensor:
         return ad.gate_mix(self.alpha, z, self.aggregate(z, protos, subset=subset))
@@ -186,12 +184,11 @@ class LinearHead(nn.Module):
 # -- losses ----------------------------------------------------------------------
 
 def _pooled(entries: Tensor, pool=None) -> Tensor:
-    """Row means of (n, m) `entries` (a 1-d `entries` is one row), averaged
-    over the rows with weights `pool`: (n,) weights give a scalar, (B, n)
-    weights one value per clip. No `pool` weighs every row 1/n."""
+    """Row means of (n, m) `entries`, averaged over the rows with weights
+    `pool`: (n,) weights give a scalar, (B, n) weights one value per clip. No
+    `pool` weighs every row 1/n."""
     if pool is None:
-        rows = entries.shape[0] if entries.ndim > 1 else 1
-        pool = np.full(rows, 1.0 / rows)
+        pool = np.full(entries.shape[0], 1.0 / entries.shape[0])
     pool = np.asarray(pool, dtype=np.float64) / entries.shape[-1]
     return (entries * pool[..., None]).sum(axis=(-2, -1))
 
@@ -219,7 +216,7 @@ def loss_reg(z: Tensor, protos: Tensor, y, pool=None) -> Tensor:
     if np.any((y < 0) | (y >= protos.shape[0])):
         raise IndexError(f"class {y} out of range")
     target = protos[y].detach()
-    if z.shape != target.shape:
+    if z.ndim != 2 or z.shape != target.shape:
         raise ShapeError(f"loss_reg: z {z.shape} vs prototypes {target.shape}")
     return _pooled((z - target) ** 2, pool)
 

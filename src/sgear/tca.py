@@ -16,20 +16,20 @@ from .errors import ConfigError, ShapeError
 
 
 def aggregate_kv(alpha: Tensor, *seqs: Tensor) -> list:
-    """Decayed causal sums along axis 0 of each (T, ...) sequence,
-    out_t = sum_{s<=t} prod(alpha[s:t]) seq_s, i.e. the recurrence
+    """Decayed causal sums along the time axis of each (..., T, N, d)
+    sequence, out_t = sum_{s<=t} prod(alpha[s:t]) seq_s, i.e. the recurrence
     out_0 = seq_0, out_t = seq_t + alpha[t-1] * out_{t-1}.
 
     Builds one (T, T) decay matrix for all the sequences (a block's keys and
-    values) and runs each as one product over its flattened trailing axes, so
-    clips stacked on a later axis share the matrix.
+    values) and runs each as one product over (..., T, N*d), the matrix
+    broadcast across the leading (clip) axes.
     """
-    t_len = seqs[0].shape[0]
+    t_len = seqs[0].shape[-3]
     if alpha.shape != (max(t_len - 1, 0),):
         raise ConfigError(
             f"alpha must have length T-1 = {t_len - 1}, got {alpha.shape}")
     decay = ad.decay_matrix(alpha, t_len)
-    return [ad.matmul(decay, seq.reshape(t_len, -1)).reshape(seq.shape)
+    return [ad.matmul(decay, seq.reshape(*seq.shape[:-2], -1)).reshape(seq.shape)
             for seq in seqs]
 
 
@@ -56,15 +56,11 @@ class TcaBlock(nn.Module):
         """x: (..., T, P+1, d) -> the same shape, frame t attending over
         accumulated keys/values of its own clip's frames <= t.
 
-        The (..., T, N, d) keys and values move time to axis 0 for
-        `aggregate_kv` and back (a no-op for one clip). Mixing along time
-        commutes with the head split, so it runs before `attention` splits.
+        Mixing along time commutes with the head split, so the keys and
+        values are mixed before `attention` splits them.
         """
-        q = self.wq(x)
-        keys, values = aggregate_kv(
-            self.alpha, self.wk(x).swapaxes(0, -3), self.wv(x).swapaxes(0, -3))
-        out = ad.attention(q, keys.swapaxes(0, -3),
-                           values.swapaxes(0, -3), 1.0 / np.sqrt(self.dim),
+        keys, values = aggregate_kv(self.alpha, self.wk(x), self.wv(x))
+        out = ad.attention(self.wq(x), keys, values, 1.0 / np.sqrt(self.dim),
                            heads=self.heads)
         return self.wo(out)
 

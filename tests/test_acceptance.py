@@ -71,11 +71,11 @@ def test_02_detach_contracts():
     """Stop-gradient probes are exactly zero where the losses block them."""
     rng = np.random.default_rng(1)
     protos = Tensor(rng.normal(size=(5, 8)), requires_grad=True)
-    z = Tensor(rng.normal(size=8), requires_grad=True)
-    loss_sem(z, protos, Tensor(rng.uniform(-1, 1, 5))).backward()
+    z = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+    loss_sem(z, protos, Tensor(rng.uniform(-1, 1, (1, 5)))).backward()
     sem_ok = z.grad is None and np.abs(protos.grad).max() > 0
     protos.zero_grad()
-    loss_reg(z, protos, 2).backward()
+    loss_reg(z, protos, [2]).backward()
     reg_ok = protos.grad is None and np.abs(z.grad).max() > 0
     merged = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     future = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
@@ -154,8 +154,8 @@ def test_05_semantic_transfer():
         z.zero_grad()
         total = None
         for y in range(k):
-            term = (loss_sem(z[y], visual.tensor, targets.row(y))
-                    + loss_reg(z[y], visual.tensor, y))
+            term = (loss_sem(z[y:y + 1], visual.tensor, targets.row([y]))
+                    + loss_reg(z[y:y + 1], visual.tensor, [y]))
             total = term if total is None else total + term
         total.backward()
         opt.step(0.02)

@@ -7,6 +7,11 @@ same loss record and every parameter gradient within 1e-10 (relative, floor
 
 Batched `predict` and the sweeps built on it are checked the same way against
 per-clip `predict` and the old per-clip sweeps.
+
+One clip runs as a batch of one. The one-clip path it replaced is kept below
+as an oracle: one clip's loss parts, loss, every gradient and `predict` must
+equal it bit for bit, and a batch must agree with the old batch path within
+1e-12 (relative, floor 1).
 """
 
 import contextlib
@@ -22,7 +27,8 @@ from sgear.decoder import DecoderConfig
 from sgear.encoder import EncoderConfig, build_encoder
 from sgear.errors import NumericError, ShapeError
 from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
-from sgear.semantic import LossWeights, ProtoStore
+from sgear.semantic import CosineHead, LossWeights, ProtoStore
+from sgear.tca import TcaBlock
 from sgear.trainer import TrainConfig, fit, train_step
 
 TOL = 1e-10
@@ -87,9 +93,9 @@ def grads(model):
             for name, p in model.parameters().items()}
 
 
-def close(a, b):
+def close(a, b, tol=TOL):
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.all(np.abs(a - b) <= TOL * np.maximum(1.0, np.abs(b)))
+    return a.shape == b.shape and np.all(np.abs(a - b) <= tol * np.maximum(1.0, np.abs(b)))
 
 
 def assert_same_step(got_record, got_grads, want_record, want_grads):
@@ -215,6 +221,174 @@ def test_node_counts():
     assert count_nodes(four) <= 330
 
 
+# -- one clip as a batch of one, against the one-clip path it replaced -------------------
+
+def old_aggregate_kv(alpha, *seqs):
+    """`tca.aggregate_kv` as it was: the decayed sums along axis 0."""
+    t_len = seqs[0].shape[0]
+    decay = ad.decay_matrix(alpha, t_len)
+    return [ad.matmul(decay, seq.reshape(t_len, -1)).reshape(seq.shape)
+            for seq in seqs]
+
+
+def old_tca_attention(block, x):
+    """`TcaBlock.attention` as it was: keys and values moved time to axis 0
+    for the history and back."""
+    q = block.wq(x)
+    keys, values = old_aggregate_kv(
+        block.alpha, block.wk(x).swapaxes(0, -3), block.wv(x).swapaxes(0, -3))
+    out = ad.attention(q, keys.swapaxes(0, -3), values.swapaxes(0, -3),
+                       1.0 / np.sqrt(block.dim), heads=block.heads)
+    return block.wo(out)
+
+
+def old_aggregate(head, z, protos, subset=None):
+    """`CosineHead.aggregate` as it was, with its reshape pair."""
+    p = semantic._rows(protos, subset)
+    weights = ad.softmax(ad.cosine(z, p), axis=-1)
+    return ad.matmul(weights.reshape(-1, p.shape[0]), p).reshape(*z.shape)
+
+
+@pytest.fixture
+def old_path(monkeypatch):
+    """Route TCA and the cosine head through the code they replaced."""
+    def use():
+        monkeypatch.setattr(TcaBlock, "attention", old_tca_attention)
+        monkeypatch.setattr(CosineHead, "aggregate", old_aggregate)
+    return use
+
+
+def oracle_total_loss(model, inputs, target, weights, past_labels=None):
+    """`SgearModel.total_loss` for one clip as it was: the clip's arrays
+    carry no clip axis, z is `future[step]` and the parts are scalars."""
+    t_len = model.config.frames
+    rows = [(t_len - 1, target)]
+    rows += [(t, past_labels[t + 1]) for t in range(t_len - 1)
+             if past_labels and past_labels[t + 1] is not None]
+    step, labels = (np.array(col) for col in zip(*rows))
+    own = np.ones(len(rows), dtype=bool)
+    past_rows = own & (np.arange(len(rows)) >= 1)
+    pool = own / own.sum(axis=-1, keepdims=True)
+    no_part = Tensor(np.zeros(()))
+
+    sub = model._subset_or_none()
+    merged = model.encode_merge(inputs)
+    future = model.decoder.decode(merged)
+    z = future[step]
+    logits, probs = model.step_logits(z)
+    ce = semantic.loss_cls(logits, labels)
+    parts = {"cls": ce[0], "past": (ce * past_rows).sum(axis=-1)}
+    protos = model.visual_store.tensor if model.use_cosine_head else None
+    parts["sem"] = (semantic.loss_sem(
+        z, protos, model.language_targets.row(labels, subset=sub),
+        subset=sub, pool=pool) if model.config.toggles.sem else no_part)
+    parts["reg"] = (semantic.loss_reg(z, protos, labels, pool=pool)
+                    if model.use_cosine_head else no_part)
+    parts["feat"], feat_empty = semantic.loss_feat(future, merged)
+    return {"logits": logits[0], "probs": probs[0], "parts": parts,
+            "past_empty": ~past_rows.any(axis=-1), "feat_empty": feat_empty,
+            "loss": semantic.total_loss(parts, weights)}
+
+
+def oracle_predict(model, inputs, n_steps=0):
+    """`SgearModel.predict` for one clip as it was: no clip axis, and the
+    head took the last step's (d,) embedding. Each head op ran a (d,)
+    embedding as one row, the same numpy calls on the same values, so the
+    oracle hands the head that row."""
+    with ad.no_grad():
+        future = model.decoder.rollout(model.encode_merge(inputs), n_steps)
+        return model.step_probs(future[-1:])[0]
+
+
+def loss_run(model, run):
+    """The output of `run` and every parameter's gradient after backward."""
+    params = model.parameters()
+    for p in params.values():
+        p.zero_grad()
+    out = run()
+    out["loss"].backward()
+    return out, grads(model)
+
+
+def assert_bit_equal(got, want, got_grads, want_grads):
+    for key in ("loss", "logits", "probs"):
+        assert np.array_equal(got[key].data, want[key].data), key
+    assert got["parts"].keys() == want["parts"].keys()
+    for name, part in want["parts"].items():
+        assert got["parts"][name].shape == part.shape == ()
+        assert np.array_equal(got["parts"][name].data, part.data), name
+    assert got["past_empty"] == want["past_empty"]
+    assert got["feat_empty"] == want["feat_empty"]
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        assert np.array_equal(got_grads[name], grad), name
+
+
+@pytest.mark.parametrize("labels", range(len(PAST_LABELS)),
+                         ids=["all-past", "some-past", "no-past"])
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+@pytest.mark.parametrize("setting", ["1", "2", "3", "4", "5", "full"])
+def test_one_clip_bit_equal_to_the_one_clip_path(setting, ratio, labels,
+                                                 old_path):
+    model = make_model(setting, ratio)
+    x, y, _ = make_clips(1, seed=21)[0]
+    past = PAST_LABELS[labels]
+    got = loss_run(model, lambda: model.total_loss(x, y, WEIGHTS,
+                                                   past_labels=past))
+    preds = [model.predict(x, n_steps=n) for n in range(3)]
+    old_path()
+    want = loss_run(model, lambda: oracle_total_loss(model, x, y, WEIGHTS,
+                                                     past_labels=past))
+    assert_bit_equal(got[0], want[0], got[1], want[1])
+    for n, probs in enumerate(preds):
+        assert probs.shape == (K,)
+        assert np.array_equal(probs, oracle_predict(model, x, n_steps=n))
+
+
+def test_one_clip_bit_equal_on_the_gradient_integrity_model(old_path):
+    """test_01's model, input and loss."""
+    model = bench_model(6, 3)
+    feats = np.random.default_rng(0).normal(size=(3, 5, 16))
+    weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
+    got = loss_run(model, lambda: model.total_loss(feats, 0, weights,
+                                                   past_labels=[None, 1, 2]))
+    preds = [model.predict(feats, n_steps=n) for n in range(3)]
+    old_path()
+    want = loss_run(model, lambda: oracle_total_loss(
+        model, feats, 0, weights, past_labels=[None, 1, 2]))
+    assert_bit_equal(got[0], want[0], got[1], want[1])
+    for n, probs in enumerate(preds):
+        assert np.array_equal(probs, oracle_predict(model, feats, n_steps=n))
+
+
+ORACLE_TOL = 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1.0, 0.5])
+@pytest.mark.parametrize("setting", ["1", "2", "3", "4", "5", "full"])
+def test_batch_matches_the_old_batch_path(setting, ratio, old_path):
+    """TCA now sums a batch's decay gradient over per-clip products, not in
+    one product over all clips; everything else runs the same arithmetic."""
+    model = make_model(setting, ratio)
+    feats, targets, past = zip(*make_clips(4, seed=22))
+    feats, targets, past = np.stack(feats), list(targets), list(past)
+
+    def run():
+        out, grad = loss_run(model, lambda: model.total_loss(
+            feats, targets, WEIGHTS, past_labels=past))
+        return out, grad, model.predict(feats, n_steps=2)
+
+    got, got_grads, preds = run()
+    old_path()
+    want, want_grads, want_preds = run()
+    assert close(got["loss"].data, want["loss"].data, ORACLE_TOL)
+    for name, part in want["parts"].items():
+        assert close(got["parts"][name].data, part.data, ORACLE_TOL), name
+    for name, grad in want_grads.items():
+        assert close(got_grads[name], grad, ORACLE_TOL), name
+    assert close(preds, want_preds, ORACLE_TOL)
+
+
 # -- inference without a graph ----------------------------------------------------------
 
 @pytest.mark.parametrize("setting", ["1", "full"])
@@ -259,7 +433,7 @@ def test_encoders_take_a_clip_axis():
     feats = rng.normal(size=(3, 4, 1, 8))
     got = adapter(feats).data
     for b in range(3):
-        assert np.array_equal(got[b], adapter(feats[b, :, 0, :]).data)
+        assert np.array_equal(got[b], adapter(feats[b]).data)
 
     passthrough = build_encoder(EncoderConfig(mode="passthrough", d=8), rng)
     feats = rng.normal(size=(3, 4, 2, 8))

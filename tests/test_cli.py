@@ -110,8 +110,9 @@ class TestAdapterRun:
                     for suffix in (".csv", ".tau.csv", ".ratio.csv")]
 
         batched = run_eval("batched")
-        # the sweeps stack all 8 clips; the main predictions go one by one
-        assert set(shapes) == {(3, 1, 8), (8, 3, 1, 8)}
+        # the sweeps stack all 8 clips; the main predictions go one by one,
+        # each a stack of one
+        assert set(shapes) == {(1, 3, 1, 8), (8, 3, 1, 8)}
         monkeypatch.setattr(evaluate, "_predict_chunked",
                             evaluate.predict_dataset)
         assert batched == run_eval("per_clip")
@@ -310,10 +311,19 @@ class TestExitCodes:
         assert (f"{shape[0]} prototypes of d={shape[1]}, but the dataset has "
                 f"6 classes of d=12") in err
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
-    def test_ensemble_bad_weight_is_2(self, workspace, weight):
+    @pytest.mark.parametrize("weighting", [
+        ["--weights", "1.0", "nan"],
+        ["--weights", "1.0", "inf"],
+        ["--weights", "1.0", "-1"],
+        ["--weights", "0", "0"],
+        ["--weights"],
+        ["--preset", "ek55", "--weights", "0", "1"],
+    ], ids=["nan", "inf", "-1", "zero-sum", "bare", "preset-and-weights"])
+    def test_ensemble_bad_weight_is_2(self, workspace, weighting):
+        """Rejected before any input is read: the second input is missing,
+        which would be a data error (3)."""
         root, data, ckpt = workspace
-        preds = root / "preds.jsonl"
-        code = main(["ensemble", "--inputs", str(preds), str(preds),
-                     "--weights", "1.0", weight, "--out", str(root / "no.jsonl")])
+        code = main(["ensemble", "--inputs", str(root / "preds.jsonl"),
+                     str(root / "missing.jsonl"), *weighting,
+                     "--out", str(root / "no.jsonl")])
         assert code == 2

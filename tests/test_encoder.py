@@ -21,13 +21,13 @@ class TestFeatureAdapter:
     def test_missing_stats(self):
         adapter = self._adapter()
         with pytest.raises(ConfigError):
-            adapter(np.zeros((2, 6)))
+            adapter(np.zeros((2, 1, 6)))
 
     def test_centering(self):
         adapter = self._adapter()
         mu = np.arange(6, dtype=float)
         adapter.set_prototype_stats(mu, np.ones(6))
-        out = adapter(np.tile(mu, (3, 1))).data
+        out = adapter(np.tile(mu, (3, 1, 1))).data
         assert np.abs(out).max() < 1e-12
 
     def test_unit_sigma(self):
@@ -35,7 +35,7 @@ class TestFeatureAdapter:
         mu = np.full(6, 2.0)
         adapter.set_prototype_stats(mu, np.ones(6))
         x = np.random.default_rng(4).normal(size=(2, 6))
-        out = adapter(x).data[:, 0, :]
+        out = adapter(x[:, None, :]).data[:, 0, :]
         assert np.abs(out - (x - mu)).max() < 1e-12
 
     def test_statistics_oracle(self):
@@ -45,20 +45,27 @@ class TestFeatureAdapter:
         adapter = self._adapter()
         adapter.set_prototype_stats(mu, sigma)
         x = rng.normal(size=(4, 6))
-        out = adapter(x).data[:, 0, :]
+        out = adapter(x[:, None, :]).data[:, 0, :]
         expect = (x - protos.mean(axis=0)) / np.maximum(protos.std(axis=0), 1e-6)
         assert np.abs(out - expect).max() < 1e-6
 
     def test_sigma_floor(self):
         adapter = self._adapter()
         adapter.set_prototype_stats(np.zeros(6), np.zeros(6))
-        out = adapter(np.full((1, 6), 1e-6)).data
+        out = adapter(np.full((1, 1, 6), 1e-6)).data
         assert np.all(np.isfinite(out)) and np.abs(out - 1.0).max() < 1e-9
 
     def test_output_shape(self):
         adapter = self._adapter()
         adapter.set_prototype_stats(np.zeros(6), np.ones(6))
-        assert adapter(np.zeros((5, 6))).shape == (5, 1, 6)
+        assert adapter(np.zeros((5, 1, 6))).shape == (5, 1, 6)
+        assert adapter(np.zeros((2, 5, 1, 6))).shape == (2, 5, 1, 6)
+
+    def test_rejects_features_without_a_token_axis(self):
+        adapter = self._adapter()
+        adapter.set_prototype_stats(np.zeros(6), np.ones(6))
+        with pytest.raises(ShapeError, match="adapter expects"):
+            adapter(np.zeros((5, 6)))
 
 
 class TestPassthrough:

@@ -302,8 +302,8 @@ def test_hand_built_adamw_on_prototypes():
             z.zero_grad()
             total = None
             for y in range(k):
-                term = (loss_sem(z[y], visual.tensor, targets.row(y))
-                        + loss_reg(z[y], visual.tensor, y))
+                term = (loss_sem(z[y:y + 1], visual.tensor, targets.row([y]))
+                        + loss_reg(z[y:y + 1], visual.tensor, [y]))
                 total = term if total is None else total + term
             total.backward()
             opt.step(0.02)

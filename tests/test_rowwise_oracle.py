@@ -34,19 +34,23 @@ PAST_LABELS = {
 # -- oracle: the per-step code --------------------------------------------------
 
 def oracle_aggregate_kv(alpha, *seqs):
+    """The recurrence along the time axis -3 of (..., T, N, d) sequences."""
     mixed = []
     for seq in seqs:
-        acc = [seq[0]]
-        for t in range(1, seq.shape[0]):
-            acc.append(seq[t] + alpha[t - 1] * acc[-1])
-        mixed.append(stack(acc))
+        acc = [seq[..., 0, :, :]]
+        for t in range(1, seq.shape[-3]):
+            acc.append(seq[..., t, :, :] + alpha[t - 1] * acc[-1])
+        mixed.append(stack(acc, axis=-3))
     return mixed
 
 
-def stack(tensors):
-    """The tensors stacked on a new leading axis, as a concat of reshapes;
-    bit-equal in value and gradient to a stack op."""
-    return ad.concat([t.reshape(1, *t.shape) for t in tensors], axis=0)
+def stack(tensors, axis=0):
+    """The tensors stacked on a new axis `axis` of the result, as a concat
+    of reshapes; bit-equal in value and gradient to a stack op."""
+    shape = tensors[0].shape
+    at = axis % (len(shape) + 1)
+    return ad.concat([t.reshape(*shape[:at], 1, *shape[at:]) for t in tensors],
+                     axis=at)
 
 
 def oracle_select_prototypes(sims, k):
@@ -73,7 +77,14 @@ def oracle_relative_repr(x, protos, subset=None):
     return num / (xn * pn + 1e-8)
 
 
+def oracle_cross_entropy(logits, y):
+    """Cross-entropy of one (K,) step's logits as a scalar."""
+    return ad.cross_entropy(logits.reshape(1, -1), [y]).sum()
+
+
 def oracle_step_logits(model, z):
+    """One step's (d,) embedding through the head; the linear layer runs on
+    it as one row."""
     sub = model._subset_or_none()
     head = model.head
     if model.use_cosine_head:
@@ -83,7 +94,7 @@ def oracle_step_logits(model, z):
         agg = ad.matmul(ad.softmax(r, axis=-1).reshape(1, -1), p).reshape(-1)
         gate = sigmoid(head.alpha)
         z = gate * z + (1.0 - gate) * agg
-    logits = head.w_cls(z)
+    logits = head.w_cls(z.reshape(1, -1)).reshape(-1)
     return logits, ad.softmax(logits, axis=-1)
 
 
@@ -95,7 +106,7 @@ def oracle_forward(model, inputs, target, past_labels):
     future = model.decoder.decode(merged)
 
     logits_final, probs_final = oracle_step_logits(model, future[t_len - 1])
-    parts = {"cls": ad.cross_entropy(logits_final, target)}
+    parts = {"cls": oracle_cross_entropy(logits_final, target)}
     step_targets = [(t_len - 1, target)]
     past_terms = []
     for t in range(t_len - 1):
@@ -103,7 +114,7 @@ def oracle_forward(model, inputs, target, past_labels):
         if y_next is not None:
             step_targets.append((t, y_next))
             logits_t, _ = oracle_step_logits(model, future[t])
-            past_terms.append(ad.cross_entropy(logits_t, y_next))
+            past_terms.append(oracle_cross_entropy(logits_t, y_next))
     parts["past"] = (sum(past_terms[1:], past_terms[0]) if past_terms
                      else Tensor(np.asarray(0.0)))
 
@@ -240,7 +251,8 @@ def test_decay_matrix_gradient():
 
 def test_decay_matrix_gradient_matches_recurrence():
     rng = np.random.default_rng(8)
-    seq_data, weight = rng.normal(size=(6, 4)), Tensor(rng.normal(size=(6, 4)))
+    seq_data = rng.normal(size=(6, 4)).reshape(6, 2, 2)
+    weight = Tensor(rng.normal(size=(6, 4)).reshape(6, 2, 2))
     grads = []
     for aggregate in (tca.aggregate_kv, oracle_aggregate_kv):
         alpha = Tensor(ALPHA.copy(), requires_grad=True)
@@ -268,7 +280,7 @@ def test_cross_entropy_rows_equal_single_rows_and_gradcheck():
     targets = [3, 0, 4, 3]
     rows = ad.cross_entropy(logits, targets).data
     for i, y in enumerate(targets):
-        assert rows[i] == ad.cross_entropy(Tensor(logits.data[i]), y).data
+        assert rows[i] == ad.cross_entropy(Tensor(logits.data[i:i + 1]), [y]).data[0]
     weight = Tensor(rng.normal(size=4))
     assert ad.grad_check(
         lambda: (ad.cross_entropy(logits, targets) * weight).sum(), [logits]) < 1e-8

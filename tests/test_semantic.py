@@ -104,32 +104,32 @@ class TestSubset:
 class TestRelativeRepr:
     def test_self_prototype(self):
         protos = Tensor(np.eye(3))
-        r = relative_repr(Tensor(np.eye(3)[1]), protos).data
+        r = relative_repr(Tensor(np.eye(3)[1:2]), protos).data[0]
         assert abs(r[1] - 1.0) < 1e-7
         assert np.array_equal(np.argsort(-r), [1, 0, 2])
 
     def test_orthonormal_one_hot(self):
         protos = Tensor(np.eye(4))
-        r = relative_repr(Tensor(np.eye(4)[2]), protos).data
-        assert np.abs(r - np.eye(4)[2]).max() < 1e-7
+        r = relative_repr(Tensor(np.eye(4)[2:3]), protos).data
+        assert np.abs(r - np.eye(4)[2:3]).max() < 1e-7
 
     def test_range(self):
         rng = np.random.default_rng(2)
-        r = relative_repr(Tensor(rng.normal(size=6)),
+        r = relative_repr(Tensor(rng.normal(size=(1, 6))),
                           Tensor(rng.normal(size=(9, 6)))).data
         assert np.all(r >= -1 - 1e-9) and np.all(r <= 1 + 1e-9)
 
     def test_subset_restriction(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=5))
+        x = Tensor(rng.normal(size=(1, 5)))
         protos = Tensor(rng.normal(size=(6, 5)))
         full = relative_repr(x, protos).data
         sub = relative_repr(x, protos, subset=[1, 4]).data
-        assert np.abs(sub - full[[1, 4]]).max() < 1e-12
+        assert np.abs(sub - full[:, [1, 4]]).max() < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            relative_repr(Tensor(np.zeros(3)), Tensor(np.zeros((2, 4))))
+            relative_repr(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
 
 
 class TestLanguageTargets:
@@ -167,7 +167,7 @@ class TestCosineHead:
         rng = np.random.default_rng(6)
         head = CosineHead(4, 3, rng)
         head.alpha.data[...] = 1000.0
-        z = Tensor(rng.normal(size=4))
+        z = Tensor(rng.normal(size=(1, 4)))
         out = head.cosine_attention(z, Tensor(rng.normal(size=(3, 4)))).data
         assert np.abs(out - z.data).max() < 1e-9
 
@@ -175,14 +175,14 @@ class TestCosineHead:
         rng = np.random.default_rng(7)
         head = CosineHead(4, 1, rng)
         protos = Tensor(rng.normal(size=(1, 4)))
-        agg = head.aggregate(Tensor(rng.normal(size=4)), protos).data
-        assert np.abs(agg - protos.data[0]).max() < 1e-12
+        agg = head.aggregate(Tensor(rng.normal(size=(1, 4))), protos).data
+        assert np.abs(agg - protos.data).max() < 1e-12
 
     def test_hand_convex_combination(self):
         head = CosineHead(2, 2, np.random.default_rng(8))
         head.alpha.data[...] = 0.0          # gate 0.5
         protos = Tensor(np.eye(2))
-        z = Tensor(np.array([1.0, 0.0]))
+        z = Tensor(np.array([[1.0, 0.0]]))
         r = relative_repr(z, protos).data
         w = np.exp(r) / np.exp(r).sum()
         expect = 0.5 * z.data + 0.5 * (w @ np.eye(2))
@@ -194,10 +194,10 @@ class TestCosineHead:
         head = CosineHead(4, 5, rng)
         head.w_cls.w.data[...] = 0.0
         head.w_cls.b.data[...] = 0.0
-        _, probs = head.classify(Tensor(rng.normal(size=4)))
+        _, probs = head.classify(Tensor(rng.normal(size=(1, 4))))
         assert np.abs(probs.data - 0.2).max() < 1e-12
         head.w_cls.w.data[...] = rng.normal(size=(4, 5))
-        z = rng.normal(size=4)
+        z = rng.normal(size=(1, 4))
         logits, _ = head.classify(Tensor(z))
         assert np.abs(logits.data - z @ head.w_cls.w.data).max() < 1e-12
 
@@ -205,48 +205,48 @@ class TestCosineHead:
         head = LinearHead(3, 3, np.random.default_rng(10))
         head.w_cls.w.data[...] = np.eye(3) * 10
         head.w_cls.b.data[...] = 0.0
-        logits, _ = head.classify(Tensor(np.array([0.0, 5.0, 1.0])))
+        logits, _ = head.classify(Tensor(np.array([[0.0, 5.0, 1.0]])))
         assert int(np.argmax(logits.data)) == 1
 
 
 class TestLosses:
     def test_loss_sem_identity(self):
         protos = Tensor(np.eye(3), requires_grad=True)
-        z = Tensor(np.eye(3)[0], requires_grad=True)
-        row = relative_repr(Tensor(np.eye(3)[0]), Tensor(np.eye(3)))
+        z = Tensor(np.eye(3)[:1], requires_grad=True)
+        row = relative_repr(Tensor(np.eye(3)[:1]), Tensor(np.eye(3)))
         assert float(loss_sem(z, protos, row).data) < 1e-9
 
     def test_loss_sem_hand_value(self):
         # z with cosines exactly (0.5, -0.2) against two orthonormal prototypes
         protos = Tensor(np.eye(3)[:2], requires_grad=True)
-        z = Tensor(np.array([0.5, -0.2, np.sqrt(1 - 0.25 - 0.04)]))
-        target = Tensor(np.array([0.3, 0.1]))
+        z = Tensor(np.array([[0.5, -0.2, np.sqrt(1 - 0.25 - 0.04)]]))
+        target = Tensor(np.array([[0.3, 0.1]]))
         got = float(loss_sem(z, protos, target).data)
         assert abs(got - 0.25) < 1e-7
 
     def test_loss_sem_detach_contract(self):
         rng = np.random.default_rng(11)
         protos = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        z = Tensor(rng.normal(size=4), requires_grad=True)
-        loss_sem(z, protos, Tensor(np.array([0.5, 0.1, -0.3]))).backward()
+        z = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        loss_sem(z, protos, Tensor(np.array([[0.5, 0.1, -0.3]]))).backward()
         assert z.grad is None                      # blocked exactly
         assert np.abs(protos.grad).max() > 0.0
 
     def test_loss_reg_zero_at_prototype(self):
         protos = Tensor(np.eye(3), requires_grad=True)
-        z = Tensor(np.eye(3)[1], requires_grad=True)
-        assert float(loss_reg(z, protos, 1).data) == 0.0
+        z = Tensor(np.eye(3)[1:2], requires_grad=True)
+        assert float(loss_reg(z, protos, [1]).data) == 0.0
 
     def test_loss_reg_hand_value(self):
         protos = Tensor(np.zeros((1, 2)), requires_grad=True)
-        z = Tensor(np.array([1.0, 0.0]), requires_grad=True)
-        assert abs(float(loss_reg(z, protos, 0).data) - 0.5) < 1e-12
+        z = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
+        assert abs(float(loss_reg(z, protos, [0]).data) - 0.5) < 1e-12
 
     def test_loss_reg_detach_contract(self):
         rng = np.random.default_rng(12)
         protos = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        z = Tensor(rng.normal(size=4), requires_grad=True)
-        loss_reg(z, protos, 2).backward()
+        z = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
+        loss_reg(z, protos, [2]).backward()
         assert protos.grad is None
         assert np.abs(z.grad).max() > 0.0
 
@@ -256,8 +256,10 @@ class TestLosses:
         z = Tensor(rng.normal(size=(3, 4)))
         rows = Tensor(rng.uniform(-1, 1, size=(3, 3)))
         y = [2, 0, 2]
-        sem = [float(loss_sem(z[i], protos, rows[i]).data) for i in range(3)]
-        reg = [float(loss_reg(z[i], protos, y[i]).data) for i in range(3)]
+        sem = [float(loss_sem(z[i:i + 1], protos, rows[i:i + 1]).data)
+               for i in range(3)]
+        reg = [float(loss_reg(z[i:i + 1], protos, y[i:i + 1]).data)
+               for i in range(3)]
         assert abs(float(loss_sem(z, protos, rows).data) - np.mean(sem)) < 1e-12
         assert abs(float(loss_reg(z, protos, y).data) - np.mean(reg)) < 1e-12
         pool = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])   # two clips
@@ -270,6 +272,8 @@ class TestLosses:
         protos = Tensor(np.eye(3))
         with pytest.raises(ShapeError):
             loss_reg(Tensor(np.eye(3)[:2]), protos, 1)
+        with pytest.raises(ShapeError):
+            loss_reg(Tensor(np.eye(3)[0]), protos, 1)
 
     def test_loss_feat_shifted_equal(self):
         rng = np.random.default_rng(13)
