@@ -127,15 +127,8 @@ class Tensor:
 
     def detach(self):
         """Constant view of this tensor: same data, no gradient flow."""
-        tape = _DETACH_TAPE
-        if tape is not None:
-            if tape.mode == "record":
-                tape.values.append(self.data.copy())
-            else:
-                value = tape.values[tape.cursor]
-                tape.cursor += 1
-                return Tensor(value, requires_grad=False, dtype=value.dtype)
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
+        value = _replayed(self.data)
+        return Tensor(value, requires_grad=False, dtype=value.dtype)
 
     def backward(self, grad=None):
         if grad is None:
@@ -175,14 +168,6 @@ class Tensor:
             out._backward = back
         return out
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = _make(-self.data, (self,), "neg")
-        if out.requires_grad:
-            out._backward = lambda g: self._accum(-g)
-        return out
-
     def __sub__(self, other):
         other = _as_tensor(other)
         out = _make(np.subtract(self.data, other.data), (self, other), "sub")
@@ -194,9 +179,6 @@ class Tensor:
                     other._accum(-_unbroadcast(g, other.shape))
             out._backward = back
         return out
-
-    def __rsub__(self, other):
-        return _as_tensor(other) - self
 
     def __mul__(self, other):
         other = _as_tensor(other)
@@ -211,14 +193,6 @@ class Tensor:
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * _as_tensor(other) ** -1.0
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other) * self ** -1.0
 
     def __pow__(self, p):
         out = _make(self.data ** p, (self,), "pow")
@@ -247,10 +221,6 @@ class Tensor:
         axes = list(range(self.ndim))
         axes[a], axes[b] = axes[b], axes[a]
         return self if axes[a] == axes[b] else self.transpose(*axes)
-
-    @property
-    def T(self):
-        return self.transpose()
 
     @property
     def mT(self):
@@ -645,15 +615,21 @@ def grad_check(f, params, eps: float = 1e-5) -> float:
         _GRAD_ENABLED = prev_grad
 
 
+def _replayed(value: np.ndarray) -> np.ndarray:
+    """`value`, except under grad_check's tape: the reference call records a
+    copy and each finite-difference probe gets the recorded value back."""
+    tape = _DETACH_TAPE
+    if tape is None:
+        return value
+    if tape.mode == "record":
+        tape.values.append(value.copy())
+        return value
+    value = tape.values[tape.cursor]
+    tape.cursor += 1
+    return value
+
+
 def frozen_choice(values: np.ndarray) -> np.ndarray:
     """Record/replay a discrete choice (e.g. top-k indices) under grad_check's
     tape, holding it fixed during the finite-difference probes."""
-    tape = _DETACH_TAPE
-    values = np.asarray(values)
-    if tape is not None:
-        if tape.mode == "record":
-            tape.values.append(values.copy())
-        else:
-            values = tape.values[tape.cursor]
-            tape.cursor += 1
-    return values
+    return _replayed(np.asarray(values))

@@ -60,11 +60,10 @@ def _cmd_synth(args):
     return 0
 
 
-def _model_config_for(manifest_path, manifest, setting, args):
-    if not manifest.records:
+def _model_config_for(manifest_path, manifest, clips, setting, args):
+    if not clips:
         raise DataError(f"{manifest_path}: dataset has no clips")
-    feats = dataio.load_clip_features(manifest_path, manifest.records[0])
-    _, tokens, d = feats.shape
+    _, tokens, d = clips[0][0].shape
     toggles = TABLE3_SETTINGS[setting]
     mode = "passthrough" if tokens > 1 else "adapter"
     if toggles.tca and tokens == 1:
@@ -102,6 +101,12 @@ def _build_stores(args, manifest, clips, config):
                 class_names=manifest.class_names)
         else:
             if args.proto_init == "recognition-mean":
+                if config.encoder.mode == "adapter":
+                    raise ConfigError(
+                        "--proto-init recognition-mean needs multi-token "
+                        "features: on single-token features the recognition "
+                        "model's adapter has no prototype statistics; use "
+                        "class-mean or random")
                 embeddings, labels = trainer.recognition_embeddings(
                     config, clips, make_preset("desk"),
                     language_store=language_store)
@@ -123,7 +128,8 @@ def _build_stores(args, manifest, clips, config):
 
 def _cmd_train(args):
     manifest, clips = load_dataset(args.manifest)
-    config = _model_config_for(args.manifest, manifest, args.setting, args)
+    config = _model_config_for(args.manifest, manifest, clips, args.setting,
+                               args)
     train_config = make_preset(args.preset)
     if args.epochs is not None:
         train_config.epochs = args.epochs

@@ -190,59 +190,52 @@ def _read_exact(fh, n, offset, what):
     return buf
 
 
-def write_feature_file(path, features: np.ndarray):
-    """features: (T, tokens, d) array; stored as float32."""
-    arr = np.ascontiguousarray(features, dtype="<f4")
-    if arr.ndim != 3:
-        raise DataError(f"feature payload must be 3-d, got shape {arr.shape}")
-    t, tokens, d = arr.shape
+def _write_array_file(path, magic, kind, array, n_dims):
+    """magic, u32 version 1, u32 per dim, then the float32 payload."""
+    arr = np.ascontiguousarray(array, dtype="<f4")
+    if arr.ndim != n_dims:
+        raise DataError(f"{kind} payload must be {n_dims}-d, got shape {arr.shape}")
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<IIII", 1, t, tokens, d))
+        fh.write(magic)
+        fh.write(struct.pack(f"<{n_dims + 1}I", 1, *arr.shape))
         fh.write(arr.tobytes())
 
 
-def read_feature_file(path) -> np.ndarray:
+def _read_array_file(path, magic, kind, n_dims):
+    """The array `_write_array_file` wrote; FormatError with the byte offset
+    for a bad magic or version, a short file or bytes after the payload."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, 0, "magic")
-        if magic != FEATURE_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {FEATURE_MAGIC!r}",
-                              offset=0)
-        version, t, tokens, d = struct.unpack("<IIII", _read_exact(fh, 16, 4, "header"))
+        got = _read_exact(fh, 4, 0, "magic")
+        if got != magic:
+            raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
+        version, *shape = struct.unpack(
+            f"<{n_dims + 1}I", _read_exact(fh, 4 * (n_dims + 1), 4, "header"))
         if version != 1:
-            raise FormatError(f"unsupported feature-file version {version}", offset=4)
-        count = t * tokens * d
-        payload = _read_exact(fh, count * 4, 20, f"{count} float32 values")
+            raise FormatError(f"unsupported {kind}-file version {version}", offset=4)
+        count = math.prod(shape)
+        start = 8 + 4 * n_dims
+        payload = _read_exact(fh, count * 4, start, f"{count} float32 values")
         if fh.read(1):
-            raise FormatError("trailing bytes after payload", offset=20 + count * 4)
-    return np.frombuffer(payload, dtype="<f4").reshape(t, tokens, d)
+            raise FormatError("trailing bytes after payload", offset=start + count * 4)
+    return np.frombuffer(payload, dtype="<f4").reshape(shape)
+
+
+def write_feature_file(path, features: np.ndarray):
+    """features: (T, tokens, d) array; stored as float32."""
+    _write_array_file(path, FEATURE_MAGIC, "feature", features, 3)
+
+
+def read_feature_file(path) -> np.ndarray:
+    return _read_array_file(path, FEATURE_MAGIC, "feature", 3)
 
 
 def write_prototype_file(path, protos: np.ndarray):
     """protos: (K, d) array; stored as float32."""
-    arr = np.ascontiguousarray(protos, dtype="<f4")
-    if arr.ndim != 2:
-        raise DataError(f"prototype payload must be 2-d, got shape {arr.shape}")
-    k, d = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(PROTO_MAGIC)
-        fh.write(struct.pack("<III", 1, k, d))
-        fh.write(arr.tobytes())
+    _write_array_file(path, PROTO_MAGIC, "prototype", protos, 2)
 
 
 def read_prototype_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, 0, "magic")
-        if magic != PROTO_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {PROTO_MAGIC!r}",
-                              offset=0)
-        version, k, d = struct.unpack("<III", _read_exact(fh, 12, 4, "header"))
-        if version != 1:
-            raise FormatError(f"unsupported prototype-file version {version}", offset=4)
-        payload = _read_exact(fh, k * d * 4, 16, f"{k * d} float32 values")
-        if fh.read(1):
-            raise FormatError("trailing bytes after payload", offset=16 + k * d * 4)
-    return np.frombuffer(payload, dtype="<f4").reshape(k, d)
+    return _read_array_file(path, PROTO_MAGIC, "prototype", 2)
 
 
 # -- observation windows ------------------------------------------------------------

@@ -31,7 +31,7 @@ def _ranked(scores):
     return np.argsort(-np.asarray(scores), kind="stable")
 
 
-def topk_accuracy(preds, k):
+def topk_accuracy(preds, k=1):
     """Fraction of clips whose true class is among the k best-scored."""
     if not preds:
         raise EvalError("empty prediction set")
@@ -137,20 +137,19 @@ def rollout_steps(model, manifest, tau):
 
 
 def eval_variable_tau(model, manifest, clips, tau_list, clip_ids=None,
-                      metric=topk_accuracy, k=1):
+                      metric=topk_accuracy):
     """Metric per anticipation gap; gaps beyond the training gap are reached
     by autoregressive rollout (`rollout_steps`)."""
     rows = []
     for tau in tau_list:
         n_steps = rollout_steps(model, manifest, tau)
         preds = _predict_chunked(model, clips, clip_ids, n_steps=n_steps)
-        value = metric(preds, k) if metric is topk_accuracy else metric(preds)
-        rows.append({"tau_a": tau, "n_steps": n_steps, "metric": value})
+        rows.append({"tau_a": tau, "n_steps": n_steps, "metric": metric(preds)})
     return rows
 
 
 def prototype_ratio_sweep(model, clips, ratios, clip_ids=None,
-                          metric=topk_accuracy, k=1):
+                          metric=topk_accuracy):
     """Evaluate under prototype subsets of each ratio (fixed seeded subsets).
 
     Reports the metric and the comparison count per representation.
@@ -162,11 +161,10 @@ def prototype_ratio_sweep(model, clips, ratios, clip_ids=None,
             model.subset = semantic.choose_subset(
                 model.config.num_classes, ratio, model.config.subset_seed)
             preds = _predict_chunked(model, clips, clip_ids)
-            value = metric(preds, k) if metric is topk_accuracy else metric(preds)
             rows.append({
                 "ratio": ratio,
                 "comparisons": len(model.subset),
-                "metric": value,
+                "metric": metric(preds),
             })
     finally:
         model.subset = saved

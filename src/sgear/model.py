@@ -160,7 +160,7 @@ class SgearModel(nn.Module):
     # -- training forward ------------------------------------------------------
 
     def forward(self, inputs, target, past_labels=None):
-        """Full forward pass with all loss parts, for one clip or a batch.
+        """The five loss parts, for one clip or a batch.
 
         One clip: `target` is its class and `past_labels` an optional length-T
         list, entry t the class of frame t or None; step t < T-1 predicts
@@ -172,9 +172,10 @@ class SgearModel(nn.Module):
         The labelled steps form rows: each clip's final step T-1 first, then
         the (clip, t) with past_labels[t+1] known, in order. The head and each
         loss run once over all rows. Per clip, `cls` is its final row's
-        cross-entropy, `past` the sum over its other rows, `sem` and `reg`
-        means over its rows and `feat` one shifted squared error over its
-        steps: scalars for one clip, (B,) vectors for a batch.
+        cross-entropy, `past` the sum over its other rows (0 without past
+        labels), `sem` and `reg` means over its rows and `feat` one shifted
+        squared error over its steps: scalars for one clip, (B,) vectors for a
+        batch.
         """
         one = np.ndim(target) == 0
         if one:
@@ -200,7 +201,7 @@ class SgearModel(nn.Module):
         merged = self.encode_merge(inputs)
         future = self.decoder.decode(merged)
         z = future[clip, step]
-        logits, probs = self.step_logits(z)
+        logits, _ = self.step_logits(z)
         ce = semantic.loss_cls(logits, labels)
         parts = {"cls": ce[final], "past": (ce * past_rows).sum(axis=-1)}
 
@@ -212,23 +213,16 @@ class SgearModel(nn.Module):
             subset=sub, pool=pool) if self.config.toggles.sem else no_part)
         parts["reg"] = (semantic.loss_reg(z, protos, labels, pool=pool)
                         if self.use_cosine_head else no_part)
-        feat, feat_empty = semantic.loss_feat(future, merged)
-        parts["feat"] = feat[final]
-        return {
-            "logits": logits[final],
-            "probs": probs[final],
-            "parts": parts,
-            "past_empty": ~past_rows.any(axis=-1),
-            "feat_empty": feat_empty,
-        }
+        feat = semantic.loss_feat(future, merged)
+        parts["feat"] = feat[0] if one else feat
+        return parts
 
     def total_loss(self, inputs, target, weights: LossWeights, past_labels=None):
-        """`forward` plus the weighted loss; a batch's loss is the mean of its
-        clips' losses."""
-        out = self.forward(inputs, target, past_labels=past_labels)
-        loss = semantic.total_loss(out["parts"], weights)
-        out["loss"] = loss.mean() if loss.ndim else loss
-        return out
+        """The loss parts (`forward`) and their weighted sum; a batch's loss is
+        the mean of its clips' losses."""
+        parts = self.forward(inputs, target, past_labels=past_labels)
+        loss = semantic.total_loss(parts, weights)
+        return {"loss": loss.mean() if loss.ndim else loss, "parts": parts}
 
     # -- inference ----------------------------------------------------------------
 
@@ -253,14 +247,6 @@ class SgearModel(nn.Module):
                 and self.visual_store.tensor.requires_grad):
             params["protos.visual"] = self.visual_store.tensor
         return params
-
-    def effective_weights(self, weights: LossWeights) -> LossWeights:
-        """Zero out the semantic weights when the sem toggle is off, so loss
-        reports make the ablation routing explicit."""
-        if self.config.toggles.sem:
-            return weights
-        return LossWeights(sem=0.0, reg=weights.reg, cls=weights.cls,
-                           past=weights.past, feat=weights.feat)
 
 
 def config_to_dict(config: ModelConfig) -> dict:

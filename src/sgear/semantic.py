@@ -227,19 +227,16 @@ def loss_cls(logits: Tensor, y) -> Tensor:
     return ad.cross_entropy(logits, y)
 
 
-def loss_feat(future: Tensor, merged: Tensor):
+def loss_feat(future: Tensor, merged: Tensor) -> Tensor:
     """Sum over t < T-1 of the mean squared error between future_t and
-    detach(merged_{t+1}), in one pass: ((future[:-1] - merged[1:])^2).sum() / d.
-    0 with a flag for T=1.
+    detach(merged_{t+1}), in one pass: ((future[:-1] - merged[1:])^2).sum() / d;
+    0 for T=1, where the slices are empty.
 
     (..., T, d) streams give one value per leading index (per clip)."""
     if merged.shape != future.shape:
         raise ShapeError(f"future {future.shape} vs merged {merged.shape}")
-    *lead, t_len, d = future.shape
-    if t_len < 2:
-        return Tensor(np.zeros(lead)), True
     sq = (future[..., :-1, :] - merged.detach()[..., 1:, :]) ** 2
-    return sq.sum(axis=(-2, -1)) * (1.0 / d), False
+    return sq.sum(axis=(-2, -1)) * (1.0 / future.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -292,9 +289,10 @@ def alignment_score(store_a: ProtoStore, store_b: ProtoStore) -> float:
 
 
 def nearest_actions(ref_class, store: ProtoStore, n=5):
-    """The n most cosine-similar classes to `ref_class`, excluding itself."""
-    sims = similarity_matrix(store)[ref_class].copy()
-    sims[ref_class] = -np.inf
-    order = np.argsort(-sims, kind="stable")[:n]
+    """The n most cosine-similar classes to `ref_class`, excluding itself, so
+    at most K-1 of them."""
+    sims = similarity_matrix(store)[ref_class]
+    others = np.delete(np.arange(store.num_classes), ref_class)
+    order = others[np.argsort(-sims[others], kind="stable")][:n]
     names = store.class_names or [str(i) for i in range(store.num_classes)]
     return [(int(i), names[int(i)], float(sims[int(i)])) for i in order]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -144,7 +144,6 @@ class TrainConfig:
         default_factory=lambda: LossWeights(1.0, 1.0, 1.0, 1.0, 1.0))
     grad_clip: float = None
     seed: int = 0
-    preset: str = "custom"
 
     def __post_init__(self):
         if self.warmup_epochs > self.epochs:
@@ -174,7 +173,7 @@ def make_preset(name) -> TrainConfig:
     opt, lr, momentum, wd, batch, epochs, warmup, weights = _PRESETS[name]
     return TrainConfig(optimizer=opt, lr=lr, momentum=momentum,
                        weight_decay=wd, batch_size=batch, epochs=epochs,
-                       warmup_epochs=warmup, loss_weights=weights, preset=name)
+                       warmup_epochs=warmup, loss_weights=weights)
 
 
 # -- dataset loading --------------------------------------------------------------
@@ -258,7 +257,6 @@ def fit(model: SgearModel, clips, config: TrainConfig, log_every=0):
 
     Returns the history: one loss record per step.
     """
-    weights = model.effective_weights(config.loss_weights)
     optimizer = build_optimizer(config.optimizer, model.parameters(), config)
     rng = np.random.default_rng(config.seed)
     steps_per_epoch = max(1, int(np.ceil(len(clips) / config.batch_size)))
@@ -271,8 +269,8 @@ def fit(model: SgearModel, clips, config: TrainConfig, log_every=0):
         for start in range(0, len(clips), config.batch_size):
             batch = [clips[i] for i in order[start:start + config.batch_size]]
             lr = lr_at(step, config.lr, warmup_steps, total_steps)
-            record = train_step(batch, model, weights, optimizer, lr,
-                                grad_clip=config.grad_clip)
+            record = train_step(batch, model, config.loss_weights, optimizer,
+                                lr, grad_clip=config.grad_clip)
             record["lr"] = lr
             record["step"] = step
             history.append(record)
@@ -290,19 +288,16 @@ def recognition_embeddings(model_config: ModelConfig, clips, train_config,
                            language_store=None):
     """Train the architecture with prototype attention omitted for per-clip
     classification, then extract each clip's final decoder embedding."""
-    cfg_dict = config_to_dict(model_config)
-    cfg_dict["toggles"] = {"tca": model_config.toggles.tca, "pa": False,
-                           "sem": False, "use_language_as_visual": False}
-    recog_config = config_from_dict(cfg_dict)
-    recog_model = SgearModel(recog_config, language_store=language_store)
+    toggles = replace(model_config.toggles, pa=False, sem=False,
+                      use_language_as_visual=False)
+    recog_model = SgearModel(replace(model_config, toggles=toggles),
+                             language_store=language_store)
     fit(recog_model, clips, train_config)
-    embeddings, labels = [], []
+    feats, labels, _ = zip(*clips)
     with ad.no_grad():
-        for feats, target, _ in clips:
-            future = recog_model.decoder.decode(recog_model.encode_merge(feats))
-            embeddings.append(future.data[-1])
-            labels.append(target)
-    return np.asarray(embeddings), np.asarray(labels)
+        future = recog_model.decoder.decode(
+            recog_model.encode_merge(np.stack(feats)))
+    return future.data[:, -1], np.asarray(labels)
 
 
 # -- checkpoints ---------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_02_detach_contracts():
     reg_ok = protos.grad is None and np.abs(z.grad).max() > 0
     merged = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
     future = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-    loss_feat(future, merged)[0].backward()
+    loss_feat(future, merged).backward()
     feat_ok = merged.grad is None and np.abs(future.grad[:3]).max() > 0
     report(sem_ok and reg_ok and feat_ok,
            "criterion 2: detach contracts (sem/reg/feat gradients blocked "

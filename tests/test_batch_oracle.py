@@ -119,20 +119,32 @@ def test_batched_step_matches_per_clip_loop(setting, ratio, batch_size):
     assert_same_step(got, grads(model), want, want_grads)
 
 
+def head_rows(model, inputs, clip, step):
+    """The head's (logits, probs) on the decoder rows (clip, step) of a
+    (B, T, tokens, d) batch, through the model's own path."""
+    future = model.decoder.decode(model.encode_merge(inputs))
+    return model.step_logits(future[clip, step])
+
+
 def test_batch_forward_rows_per_clip():
-    """Each clip of a batch gets its own parts, equal to a single-clip run."""
+    """Each clip of a batch gets its own parts, equal to a single-clip run;
+    the clip without past labels gets a zero `past` part, and the head scores
+    each clip's final step as it scores that clip alone."""
     model = make_model("full")
     batch = make_clips(4, seed=12)
     feats, targets, past = zip(*batch)
-    out = model.forward(np.stack(feats), list(targets), past_labels=list(past))
-    assert out["logits"].shape == (4, K) and out["probs"].shape == (4, K)
-    assert list(out["past_empty"]) == [False, False, True, False]
+    feats = np.stack(feats)
+    parts = model.forward(feats, list(targets), past_labels=list(past))
+    assert list(parts["past"].data == 0.0) == [False, False, True, False]
+    logits, probs = head_rows(model, feats, np.arange(4), T - 1)
+    assert logits.shape == (4, K) and probs.shape == (4, K)
     for b, (x, y, labels) in enumerate(batch):
         one = model.forward(x, y, past_labels=labels)
-        for name, part in one["parts"].items():
-            assert part.shape == () and out["parts"][name].shape == (4,)
-            assert close(out["parts"][name].data[b], part.data), name
-        assert close(out["probs"].data[b], one["probs"].data)
+        for name, part in one.items():
+            assert part.shape == () and parts[name].shape == (4,)
+            assert close(parts[name].data[b], part.data), name
+        _, one_probs = head_rows(model, x[None], [0], T - 1)
+        assert close(probs.data[b], one_probs.data[0])
 
 
 def test_short_last_batch_in_fit(monkeypatch):
@@ -258,16 +270,23 @@ def old_path(monkeypatch):
     return use
 
 
-def oracle_total_loss(model, inputs, target, weights, past_labels=None):
-    """`SgearModel.total_loss` for one clip as it was: the clip's arrays
-    carry no clip axis, z is `future[step]` and the parts are scalars."""
-    t_len = model.config.frames
+def one_clip_rows(t_len, target, past_labels):
+    """The (step, label) rows of one clip: the final step first, then each
+    step whose next frame's label is known."""
     rows = [(t_len - 1, target)]
     rows += [(t, past_labels[t + 1]) for t in range(t_len - 1)
              if past_labels and past_labels[t + 1] is not None]
-    step, labels = (np.array(col) for col in zip(*rows))
-    own = np.ones(len(rows), dtype=bool)
-    past_rows = own & (np.arange(len(rows)) >= 1)
+    return [np.array(col) for col in zip(*rows)]
+
+
+def oracle_total_loss(model, inputs, target, weights, past_labels=None):
+    """`SgearModel.total_loss` for one clip as it was: the clip's arrays
+    carry no clip axis, z is `future[step]` and the parts are scalars. Also
+    returns the head's logits and probabilities on every row, and whether
+    the clip has no past rows."""
+    step, labels = one_clip_rows(model.config.frames, target, past_labels)
+    own = np.ones(len(step), dtype=bool)
+    past_rows = own & (np.arange(len(step)) >= 1)
     pool = own / own.sum(axis=-1, keepdims=True)
     no_part = Tensor(np.zeros(()))
 
@@ -284,9 +303,9 @@ def oracle_total_loss(model, inputs, target, weights, past_labels=None):
         subset=sub, pool=pool) if model.config.toggles.sem else no_part)
     parts["reg"] = (semantic.loss_reg(z, protos, labels, pool=pool)
                     if model.use_cosine_head else no_part)
-    parts["feat"], feat_empty = semantic.loss_feat(future, merged)
-    return {"logits": logits[0], "probs": probs[0], "parts": parts,
-            "past_empty": ~past_rows.any(axis=-1), "feat_empty": feat_empty,
+    parts["feat"] = semantic.loss_feat(future, merged)
+    return {"logits": logits, "probs": probs, "parts": parts,
+            "past_empty": not past_rows.any(),
             "loss": semantic.total_loss(parts, weights)}
 
 
@@ -310,15 +329,22 @@ def loss_run(model, run):
     return out, grads(model)
 
 
-def assert_bit_equal(got, want, got_grads, want_grads):
-    for key in ("loss", "logits", "probs"):
-        assert np.array_equal(got[key].data, want[key].data), key
+def one_clip_head(model, x, y, past_labels):
+    """The head's (logits, probs) on one clip's rows, through the model's own
+    path: the clip runs as a batch of one."""
+    step, _ = one_clip_rows(model.config.frames, y, past_labels)
+    return head_rows(model, np.asarray(x)[None], 0, step)
+
+
+def assert_bit_equal(got, want, got_grads, want_grads, got_head):
+    assert np.array_equal(got["loss"].data, want["loss"].data)
+    for key, value in zip(("logits", "probs"), got_head):
+        assert np.array_equal(value.data, want[key].data), key
     assert got["parts"].keys() == want["parts"].keys()
     for name, part in want["parts"].items():
         assert got["parts"][name].shape == part.shape == ()
         assert np.array_equal(got["parts"][name].data, part.data), name
-    assert got["past_empty"] == want["past_empty"]
-    assert got["feat_empty"] == want["feat_empty"]
+    assert (float(got["parts"]["past"].data) == 0.0) == want["past_empty"]
     assert got_grads.keys() == want_grads.keys()
     for name, grad in want_grads.items():
         assert np.array_equal(got_grads[name], grad), name
@@ -335,11 +361,12 @@ def test_one_clip_bit_equal_to_the_one_clip_path(setting, ratio, labels,
     past = PAST_LABELS[labels]
     got = loss_run(model, lambda: model.total_loss(x, y, WEIGHTS,
                                                    past_labels=past))
+    head = one_clip_head(model, x, y, past)
     preds = [model.predict(x, n_steps=n) for n in range(3)]
     old_path()
     want = loss_run(model, lambda: oracle_total_loss(model, x, y, WEIGHTS,
                                                      past_labels=past))
-    assert_bit_equal(got[0], want[0], got[1], want[1])
+    assert_bit_equal(got[0], want[0], got[1], want[1], head)
     for n, probs in enumerate(preds):
         assert probs.shape == (K,)
         assert np.array_equal(probs, oracle_predict(model, x, n_steps=n))
@@ -352,11 +379,12 @@ def test_one_clip_bit_equal_on_the_gradient_integrity_model(old_path):
     weights = LossWeights(1.0, 1.0, 1.0, 1.0, 1.0)
     got = loss_run(model, lambda: model.total_loss(feats, 0, weights,
                                                    past_labels=[None, 1, 2]))
+    head = one_clip_head(model, feats, 0, [None, 1, 2])
     preds = [model.predict(feats, n_steps=n) for n in range(3)]
     old_path()
     want = loss_run(model, lambda: oracle_total_loss(
         model, feats, 0, weights, past_labels=[None, 1, 2]))
-    assert_bit_equal(got[0], want[0], got[1], want[1])
+    assert_bit_equal(got[0], want[0], got[1], want[1], head)
     for n, probs in enumerate(preds):
         assert np.array_equal(probs, oracle_predict(model, feats, n_steps=n))
 

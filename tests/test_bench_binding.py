@@ -1,7 +1,8 @@
 """The benchmark under perfbench/ still binds to the package: every entry
-point its tracer wraps exists, its gradcheck workload builds and runs one
-probe, and its eval workload times one clip per `predict` call. A change in
-src/ that would break the benchmark fails here first."""
+point its tracer wraps exists, its node-counting pass reads the loss and the
+head's output it expects, its gradcheck workload builds and runs one probe,
+and its eval workload times one clip per `predict` call. A change in src/
+that would break the benchmark fails here first."""
 
 import importlib
 import math
@@ -13,7 +14,7 @@ import pytest
 from sgear import dataio, evaluate
 from sgear.autodiff import Tensor
 from sgear.model import SgearModel
-from sgear.semantic import ProtoStore
+from sgear.semantic import LossWeights, ProtoStore
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,6 +29,28 @@ def test_tracer_targets_exist(perfbench):
     tracer, _ = perfbench
     for owner, attr, _ in tracer.TARGETS:
         assert attr in vars(owner), (owner, attr)
+
+
+def test_tracer_counts_nodes(perfbench):
+    """`perfbench --trace 1` counts the graph behind `total_loss`'s "loss" and
+    behind the probabilities `step_logits` returns second, as its counting
+    pass does: one 4-clip training loss and one one-clip `predict`."""
+    tracer, workloads = perfbench
+    k, frames, d = workloads.K, workloads.FRAMES, workloads.D
+    language = ProtoStore(kind="language", tensor=Tensor(
+        dataio.language_prototypes_from_cooccurrence(np.full((k, k), 1.0 / k), d)))
+    model = workloads.tiny_model(k, frames, d, language)
+    feats = np.random.default_rng(3).normal(size=(4, frames, workloads.TOKENS, d))
+    with tracer.Tracer(count_nodes=True) as trace:
+        out = model.total_loss(feats, [0, 1, 2, 3],
+                               LossWeights(1.0, 1.0, 1.0, 1.0, 1.0),
+                               past_labels=[None, [1] * frames, None, None])
+        model.predict(feats[0])
+    loss_nodes, predict_nodes = trace.node_counts
+    assert loss_nodes == tracer.count_nodes(out["loss"]) > 100
+    # predict builds no graph: its probabilities are one node
+    assert predict_nodes == 1 and trace._last_probs.shape == (1, k)
+    assert trace.clips() == 2
 
 
 def test_gradcheck_workload_runs_one_probe(perfbench, tmp_path):

@@ -1,6 +1,8 @@
 """End-to-end command-line runs and exit-code conventions."""
 
+import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -77,6 +79,44 @@ class TestCommands:
         for name in ("visual_similarity.csv", "language_similarity.csv",
                      "visual_nearest.csv", "alignment.txt"):
             assert (out / name).exists()
+
+    def test_analyze_top_beyond_the_class_count(self, workspace):
+        """--top 9 with K=6 lists each reference's 5 other classes."""
+        root, data, ckpt = workspace
+        out = root / "analysis-top9"
+        assert main(["analyze", "--checkpoint", str(ckpt), "--out-dir",
+                     str(out), "--top", "9"]) == 0
+        for store in ("visual", "language"):
+            with open(out / f"{store}_nearest.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 6 * 5
+            for ref in range(6):
+                listed = [int(r["class"]) for r in rows if int(r["reference"]) == ref]
+                assert sorted(listed) == [c for c in range(6) if c != ref]
+            assert all(math.isfinite(float(r["cosine"])) for r in rows)
+
+    def test_train_reads_each_feature_file_once(self, workspace, tmp_path,
+                                                monkeypatch):
+        root, data, _ = workspace
+        read = dataio.read_feature_file
+        paths = []
+        monkeypatch.setattr(dataio, "read_feature_file",
+                            lambda path: paths.append(path) or read(path))
+        assert main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(data / "language_prototypes.sglp"),
+                     "--checkpoint", str(tmp_path / "m.sgck"),
+                     "--epochs", "1"]) == 0
+        assert len(paths) == len(set(paths)) == 24
+
+    def test_recognition_mean_train_then_eval(self, workspace, tmp_path):
+        root, data, _ = workspace
+        ckpt = tmp_path / "recognition.sgck"
+        assert main(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(data / "language_prototypes.sglp"),
+                     "--checkpoint", str(ckpt), "--epochs", "1",
+                     "--proto-init", "recognition-mean"]) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--manifest",
+                     str(data / "manifest.jsonl")]) == 0
 
 
 class TestAdapterRun:

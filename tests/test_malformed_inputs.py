@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from sgear import cli, trainer
 from sgear.cli import main
 from sgear.model import SgearModel
 
@@ -265,6 +266,37 @@ def test_bad_eval_argument_exits_2_before_any_work(ws, tmp_path, capsys,
     assert args[-1] in err
     assert predicted == []
     assert not csv.exists() and not preds.exists()
+
+
+# train arguments that single-token features cannot serve, with the text the
+# message must hold; each once failed only after training had begun
+SINGLE_TOKEN_REJECTED_BEFORE_TRAINING = [
+    (["--setting", "4", "--proto-init", "recognition-mean"],
+     "--proto-init recognition-mean"),
+    (["--setting", "2", "--proto-init", "recognition-mean"],
+     "--proto-init recognition-mean"),
+    (["--setting", "full"], "temporal aggregation"),
+]
+
+
+@pytest.mark.parametrize("args,text", SINGLE_TOKEN_REJECTED_BEFORE_TRAINING,
+                         ids=[" ".join(a) for a, _ in
+                              SINGLE_TOKEN_REJECTED_BEFORE_TRAINING])
+def test_single_token_train_argument_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, args, text):
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--classes", "4", "--frames", "3",
+                 "--dim", "8", "--clips", "6", "--tokens", "1"]) == 0
+    fitted = []
+    for owner in (cli, trainer):
+        monkeypatch.setattr(owner, "fit", lambda *a, **kw: fitted.append(a))
+    ckpt = tmp_path / "m.sgck"
+    code, err = run(["train", "--manifest", str(data / "manifest.jsonl"),
+                     "--prototypes", str(data / "language_prototypes.sglp"),
+                     "--checkpoint", str(ckpt), "--epochs", "1", *args], capsys)
+    assert code == 2
+    assert text in err and "single-token" in err
+    assert fitted == [] and not ckpt.exists()
 
 
 @pytest.mark.parametrize("which", ["feature", "prototype", "checkpoint"])

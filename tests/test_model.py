@@ -86,24 +86,24 @@ class TestForward:
 
     def test_all_parts_present(self):
         model = make_model("full")
-        out = model.forward(self._inputs(), 1, past_labels=[None, 0, 1, 2])
-        assert set(out["parts"]) == {"sem", "reg", "cls", "past", "feat"}
-        assert not out["past_empty"] and not out["feat_empty"]
+        parts = model.forward(self._inputs(), 1, past_labels=[None, 0, 1, 2])
+        assert set(parts) == {"sem", "reg", "cls", "past", "feat"}
+        assert float(parts["past"].data) > 0.0 and float(parts["feat"].data) > 0.0
 
     def test_past_loss_closed_form(self):
         # zeroed head => uniform logits => each labeled step contributes ln K
         model = make_model("1")
         model.head.w_cls.w.data[...] = 0.0
         model.head.w_cls.b.data[...] = 0.0
-        out = model.forward(self._inputs(), 0, past_labels=[None, 1, 2, 3])
-        assert abs(float(out["parts"]["past"].data) - 3 * np.log(K)) < 1e-9
-        assert abs(float(out["parts"]["cls"].data) - np.log(K)) < 1e-9
+        parts = model.forward(self._inputs(), 0, past_labels=[None, 1, 2, 3])
+        assert abs(float(parts["past"].data) - 3 * np.log(K)) < 1e-9
+        assert abs(float(parts["cls"].data) - np.log(K)) < 1e-9
 
-    def test_no_past_labels_flag(self):
+    def test_no_past_labels_give_a_zero_past_part(self):
         model = make_model("1")
-        out = model.forward(self._inputs(), 0)
-        assert out["past_empty"]
-        assert float(out["parts"]["past"].data) == 0.0
+        for past_labels in (None, [None] * T, [2, None, None, None]):
+            parts = model.forward(self._inputs(), 0, past_labels=past_labels)
+            assert float(parts["past"].data) == 0.0
 
     def test_total_loss_matches_manual_weighting(self):
         model = make_model("full")
@@ -114,12 +114,27 @@ class TestForward:
                      for name, part in out["parts"].items())
         assert abs(float(out["loss"].data) - manual) < 1e-9
 
-    def test_effective_weights_zero_sem_when_off(self):
-        model = make_model("5")
-        weights = model.effective_weights(LossWeights(4.0, 1.0, 1.0, 1.0, 1.0))
-        assert weights.sem == 0.0 and weights.reg == 1.0
-        full = make_model("full")
-        assert full.effective_weights(weights).sem == 0.0
+    def test_sem_weight_ignored_when_sem_off(self):
+        """With the sem toggle off the sem part is 0, so its weight changes
+        neither the loss nor any gradient."""
+        for setting in ("1", "3", "5"):
+            model = make_model(setting)
+            runs = []
+            for sem in (4.0, 0.0):
+                for p in model.parameters().values():
+                    p.zero_grad()
+                out = model.total_loss(self._inputs(), 2,
+                                       LossWeights(sem, 1.0, 1.0, 1.0, 1.0),
+                                       past_labels=[None, 0, 1, 2])
+                out["loss"].backward()
+                assert float(out["parts"]["sem"].data) == 0.0
+                runs.append((out["loss"].data.copy(),
+                             [p.grad for p in model.parameters().values()]))
+            (loss, grads), (want_loss, want_grads) = runs
+            assert np.array_equal(loss, want_loss)
+            for g, w in zip(grads, want_grads):
+                assert (g is None) == (w is None)
+                assert g is None or np.array_equal(g, w)
 
     def test_wrong_frame_count(self):
         model = make_model("full")

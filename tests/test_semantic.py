@@ -279,25 +279,31 @@ class TestLosses:
         rng = np.random.default_rng(13)
         merged = rng.normal(size=(4, 3))
         future = np.vstack([merged[1:], rng.normal(size=3)])
-        value, empty = loss_feat(Tensor(future), Tensor(merged))
-        assert float(value.data) < 1e-12 and not empty
+        value = loss_feat(Tensor(future), Tensor(merged))
+        assert float(value.data) < 1e-12
 
     def test_loss_feat_hand_value(self):
-        value, empty = loss_feat(Tensor(np.array([[1.0], [9.0]])),
-                                 Tensor(np.array([[0.0], [3.0]])))
-        assert float(value.data) == 4.0 and not empty
+        value = loss_feat(Tensor(np.array([[1.0], [9.0]])),
+                          Tensor(np.array([[0.0], [3.0]])))
+        assert float(value.data) == 4.0
 
-    def test_loss_feat_single_frame_flag(self):
-        value, empty = loss_feat(Tensor(np.zeros((1, 3))),
-                                 Tensor(np.zeros((1, 3))))
-        assert float(value.data) == 0.0 and empty
+    def test_loss_feat_single_frame_is_zero(self):
+        """T=1 leaves no shifted pair: the value is 0 and so is the gradient,
+        one clip or a batch."""
+        rng = np.random.default_rng(15)
+        for lead in ((), (3,)):
+            future = Tensor(rng.normal(size=(*lead, 1, 3)), requires_grad=True)
+            merged = Tensor(rng.normal(size=(*lead, 1, 3)), requires_grad=True)
+            value = loss_feat(future, merged)
+            assert value.shape == lead and np.all(value.data == 0.0)
+            value.sum().backward()
+            assert np.all(future.grad == 0.0) and merged.grad is None
 
     def test_loss_feat_detach_contract(self):
         rng = np.random.default_rng(14)
         merged = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         future = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        value, _ = loss_feat(future, merged)
-        value.backward()
+        loss_feat(future, merged).backward()
         assert merged.grad is None
         assert np.abs(future.grad[:2]).max() > 0.0
 
@@ -366,3 +372,15 @@ class TestGeometry:
         assert [n[0] for n in near] == [1, 2]
         assert near[0][1] == "b"
         assert near[0][2] > near[1][2]
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_nearest_actions_lists_at_most_k_minus_1(self, n):
+        """n >= K gives the K-1 other classes, never the reference itself."""
+        rows = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [-1.0, 0.2]])
+        store = ProtoStore(kind="visual", tensor=Tensor(rows))
+        for ref in range(4):
+            near = nearest_actions(ref, store, n=n)
+            assert sorted(i for i, _, _ in near) == [i for i in range(4) if i != ref]
+            cosines = [c for _, _, c in near]
+            assert np.all(np.isfinite(cosines))
+            assert cosines == sorted(cosines, reverse=True)

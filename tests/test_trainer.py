@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from sgear import dataio
+import sgear.autodiff as ad
+from sgear import dataio, trainer
 from sgear.autodiff import Tensor
 from sgear.decoder import DecoderConfig
 from sgear.encoder import EncoderConfig
@@ -14,8 +15,8 @@ from sgear.errors import ConfigError, DataError, FormatError, NumericError
 from sgear.model import TABLE3_SETTINGS, ModelConfig, SgearModel
 from sgear.semantic import LossWeights, ProtoStore
 from sgear.trainer import (AdamW, Sgd, TrainConfig, fit, load_checkpoint,
-                           load_dataset, lr_at, make_preset, save_checkpoint,
-                           train_step)
+                           load_dataset, lr_at, make_preset,
+                           recognition_embeddings, save_checkpoint, train_step)
 
 
 class TestSchedule:
@@ -182,6 +183,37 @@ class TestTraining:
         dataio.write_feature_file(first, dataio.read_feature_file(first)[:-1])
         with pytest.raises(DataError, match="clip_00000"):
             load_dataset(manifest_path)
+
+    @pytest.mark.parametrize("setting", ["full", "4"])
+    def test_recognition_embeddings_match_the_per_clip_loop(
+            self, tmp_path, monkeypatch, setting):
+        """The recognition model drops PA and the semantic loss and keeps
+        TCA; one stacked pass gives each clip's final decoder embedding as
+        the per-clip loop it replaced did, bit for bit."""
+        manifest_path, proto_path = tiny_dataset(tmp_path)
+        _, clips = load_dataset(manifest_path)
+        config = tiny_model(manifest_path, proto_path, setting=setting).config
+        language = ProtoStore.load(proto_path, kind="language")
+        trained = []
+
+        def recorded(model, *args, **kwargs):
+            trained.append(model)
+            return fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "fit", recorded)
+        cfg = TrainConfig(optimizer="adamw", lr=1e-3, epochs=1, batch_size=4)
+        embeddings, labels = recognition_embeddings(config, clips, cfg,
+                                                    language_store=language)
+        (recog,) = trained
+        toggles = recog.config.toggles
+        assert (toggles.tca == config.toggles.tca and not toggles.pa
+                and not toggles.sem and not toggles.use_language_as_visual)
+        assert config.toggles == TABLE3_SETTINGS[setting]
+        with ad.no_grad():
+            want = [recog.decoder.decode(recog.encode_merge(feats)).data[-1]
+                    for feats, _, _ in clips]
+        assert np.array_equal(embeddings, np.asarray(want))
+        assert list(labels) == [target for _, target, _ in clips]
 
     def test_past_labels_matched_to_frames(self, tmp_path):
         manifest_path, _ = tiny_dataset(tmp_path, n_clips=3)
