@@ -7,6 +7,19 @@ Binary formats (little-endian throughout):
   order.
 * Prototype file: magic ``SGLP``, u32 version (=1), u32 K, u32 d, then K*d
   float32 values row-major.
+* Checkpoint (`sgear.trainer`): magic ``SGCK``, u32 version (=3), u32 header
+  length, a UTF-8 JSON header (``version``, ``config``, ``step``,
+  ``visual_frozen``, ``sections``), then one float64 block holding the
+  listed sections in the order ``store.visual``, ``store.language``,
+  ``adapter.mu``, ``adapter.inv_sigma``, ``param``, ``opt.t``, ``opt.m``,
+  ``opt.v``, ``opt.velocity``. The model rebuilt from ``config`` fixes each
+  size: K*d for a store, d for an adapter statistic, 1 for ``opt.t`` and
+  the parameter count n for ``param`` (the parameters in sorted-name order)
+  and each optimizer buffer. The sections must cover the block exactly.
+
+Every reader reads a file's bytes once and checks each size its header gives
+against the bytes it holds, so a size field larger than the file fails
+before anything is allocated for it.
 
 Manifests are line-delimited JSON: a header line
 ``{"format": "sgear-manifest", "version": 1, ...}`` followed by one record
@@ -131,7 +144,7 @@ def read_json_lines(path, what):
             continue
         try:
             obj = json.loads(line.decode())
-        except ValueError as exc:          # bad UTF-8 or bad JSON
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep
             raise FormatError(f"{path}, line {lineno}: not valid JSON ({exc})") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}, line {lineno}: not a JSON object")
@@ -183,11 +196,22 @@ def read_manifest(path) -> DatasetManifest:
 
 # -- binary files --------------------------------------------------------------
 
-def _read_exact(fh, n, offset, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated file while reading {what}", offset=offset)
-    return buf
+def read_binary(path, magic, version, n_fields, kind):
+    """The file's bytes, read once, and the `n_fields` u32 fields after its
+    magic and u32 version; FormatError for a short header or a bad magic or
+    version."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if len(data) < 4:
+        raise FormatError("truncated file while reading magic", offset=0)
+    if data[:4] != magic:
+        raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}", offset=0)
+    if len(data) < 8 + 4 * n_fields:
+        raise FormatError("truncated file while reading header", offset=4)
+    got, *fields = struct.unpack_from(f"<{n_fields + 1}I", data, 4)
+    if got != version:
+        raise FormatError(f"unsupported {kind} version {got}", offset=4)
+    return data, fields
 
 
 def _write_array_file(path, magic, kind, array, n_dims):
@@ -204,20 +228,16 @@ def _write_array_file(path, magic, kind, array, n_dims):
 def _read_array_file(path, magic, kind, n_dims):
     """The array `_write_array_file` wrote; FormatError with the byte offset
     for a bad magic or version, a short file or bytes after the payload."""
-    with open(path, "rb") as fh:
-        got = _read_exact(fh, 4, 0, "magic")
-        if got != magic:
-            raise FormatError(f"bad magic {got!r}, expected {magic!r}", offset=0)
-        version, *shape = struct.unpack(
-            f"<{n_dims + 1}I", _read_exact(fh, 4 * (n_dims + 1), 4, "header"))
-        if version != 1:
-            raise FormatError(f"unsupported {kind}-file version {version}", offset=4)
-        count = math.prod(shape)
-        start = 8 + 4 * n_dims
-        payload = _read_exact(fh, count * 4, start, f"{count} float32 values")
-        if fh.read(1):
-            raise FormatError("trailing bytes after payload", offset=start + count * 4)
-    return np.frombuffer(payload, dtype="<f4").reshape(shape)
+    data, shape = read_binary(path, magic, 1, n_dims, f"{kind}-file")
+    start = 8 + 4 * n_dims
+    count = math.prod(shape)
+    end = start + 4 * count
+    if len(data) < end:
+        raise FormatError(f"truncated file while reading {count} float32 values",
+                          offset=start)
+    if len(data) > end:
+        raise FormatError("trailing bytes after payload", offset=end)
+    return np.frombuffer(data, "<f4", count, start).reshape(shape)
 
 
 def write_feature_file(path, features: np.ndarray):

@@ -41,15 +41,13 @@ class FeatureAdapter(nn.Module):
     the K visual prototypes; sigma floored at 1e-6.
     """
 
-    def __init__(self, config: EncoderConfig, rng, proto_stats=None):
+    def __init__(self, config: EncoderConfig, rng):
         if config.mode != "adapter":
             raise ConfigError("FeatureAdapter requires mode 'adapter'")
         self.config = config
         self.lin = nn.Linear(config.d, config.d, rng)
         self._mu = None
         self._inv_sigma = None
-        if proto_stats is not None:
-            self.set_prototype_stats(*proto_stats)
 
     def set_prototype_stats(self, mu, sigma):
         mu = np.asarray(mu, dtype=np.float64)

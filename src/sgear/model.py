@@ -14,7 +14,7 @@ Ablation toggles route exactly as the study grid:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import nn
 from . import semantic
 from .autodiff import Tensor
+from .dataio import is_int
 from .decoder import CausalDecoder, DecoderConfig
 from .encoder import EncoderConfig, build_encoder
 from .errors import ConfigError, ShapeError
@@ -253,9 +254,41 @@ def config_to_dict(config: ModelConfig) -> dict:
     return asdict(config)
 
 
+# int fields that may be 0; every other int field counts something, so >= 1
+_MAY_BE_ZERO = {"seed", "subset_seed", "max_rollout_steps"}
+
+
+def _checked(cls, obj):
+    """cls(**obj) once `obj` is a dict whose given int fields are ints (not
+    bools) of at least 1 (0 for `_MAY_BE_ZERO`), whose bool fields are bools
+    and whose subset_ratio is in (0, 1]; ConfigError naming the field
+    otherwise. A missing field keeps its default, or fails in cls."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{cls.__name__} must be an object, got {obj!r}")
+    for f in fields(cls):
+        if f.name not in obj:
+            continue
+        value = obj[f.name]
+        if f.type == "int":
+            low = 0 if f.name in _MAY_BE_ZERO else 1
+            ok, need = is_int(value) and value >= low, f"an int >= {low}"
+        elif f.type == "bool":
+            ok, need = isinstance(value, bool), "a bool"
+        elif f.name == "subset_ratio":
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and 0 < value <= 1)
+            need = "a number in (0, 1]"
+        else:
+            continue
+        if not ok:
+            raise ConfigError(f"{cls.__name__}.{f.name} is {value!r}, not {need}")
+    return cls(**obj)
+
+
 def config_from_dict(obj: dict) -> ModelConfig:
-    obj = dict(obj)
-    obj["encoder"] = EncoderConfig(**obj["encoder"])
-    obj["decoder"] = DecoderConfig(**obj["decoder"])
-    obj["toggles"] = Toggles(**obj["toggles"])
-    return ModelConfig(**obj)
+    """The config `config_to_dict` wrote, read from outside data, so every
+    field is checked (`_checked`) before any is used."""
+    nested = {key: _checked(cls, obj[key]) for key, cls in (
+        ("encoder", EncoderConfig), ("decoder", DecoderConfig),
+        ("toggles", Toggles))}
+    return _checked(ModelConfig, {**obj, **nested})

@@ -19,9 +19,12 @@ from .model import ModelConfig, SgearModel, config_from_dict, config_to_dict
 from .semantic import LossWeights, ProtoStore
 
 CHECKPOINT_MAGIC = b"SGCK"
-# 2: the encoder config holds only its mode and d
-CHECKPOINT_VERSION = 2
-_HEADER_KEYS = {"arrays", "config", "step", "visual_frozen"}
+# 2: the encoder config holds only its mode and d; 3: config-sized sections
+CHECKPOINT_VERSION = 3
+_HEADER_KEYS = {"config", "sections", "step", "visual_frozen"}
+# the stores come first: the model is built from them
+SECTIONS = ("store.visual", "store.language", "adapter.mu", "adapter.inv_sigma",
+            "param", "opt.t", "opt.m", "opt.v", "opt.velocity")
 
 
 # -- schedule -----------------------------------------------------------------
@@ -55,9 +58,9 @@ class _FlatOptimizer:
         for p, view in zip(self.params.values(), self._views(self.flat).values()):
             p.data = view
 
-    def _views(self, flat, prefix=""):
+    def _views(self, flat):
         parts = np.split(flat, np.cumsum(self._sizes)[:-1])
-        return {prefix + k: a.reshape(p.shape)
+        return {k: a.reshape(p.shape)
                 for (k, p), a in zip(self.params.items(), parts)}
 
     def _gather(self, clip):
@@ -86,7 +89,7 @@ class Sgd(_FlatOptimizer):
         np.copyto(self.flat, self.flat - lr * self.velocity, where=live)
 
     def state_arrays(self):
-        return self._views(self.velocity, "velocity.")
+        return {"velocity": self.velocity}
 
 
 class AdamW(_FlatOptimizer):
@@ -114,8 +117,7 @@ class AdamW(_FlatOptimizer):
         np.copyto(self.flat, flat, where=live)
 
     def state_arrays(self):
-        return {"t": np.asarray(float(self.t)), **self._views(self.m, "m."),
-                **self._views(self.v, "v.")}
+        return {"t": np.array([float(self.t)]), "m": self.m, "v": self.v}
 
 
 def build_optimizer(name, params, config):
@@ -302,118 +304,107 @@ def recognition_embeddings(model_config: ModelConfig, clips, train_config,
 
 # -- checkpoints ---------------------------------------------------------------------
 
-def _array_entries(arrays):
-    return [{"name": k, "shape": list(v.shape), "dtype": v.dtype.str}
-            for k, v in arrays.items()]
-
-
 def save_checkpoint(path, model: SgearModel, optimizer=None, step=0):
-    """Versioned container: JSON header plus named little-endian blobs."""
-    arrays = {}
-    for name, p in sorted(model.parameters().items()):
-        arrays[f"param.{name}"] = p.data
-    if model.visual_store is not None:
-        arrays["store.visual"] = model.visual_store.tensor.data
-    if model.language_store is not None:
-        arrays["store.language"] = model.language_store.tensor.data
+    """Versioned container: JSON header, then the sections (`SECTIONS`) of
+    one little-endian float64 block."""
+    params = model.parameters()
+    if optimizer is not None and optimizer.params.keys() != params.keys():
+        raise ConfigError("the optimizer's parameters are not the model's")
+    arrays = {"param": np.concatenate([p.data.ravel()
+                                       for _, p in sorted(params.items())])}
+    stores = {"store.visual": model.visual_store,
+              "store.language": model.language_store}
+    arrays.update((k, s.tensor.data) for k, s in stores.items() if s is not None)
     if isinstance(model.encoder, FeatureAdapter):
-        for name, arr in model.encoder.stats_arrays().items():
-            arrays[f"adapter.{name}"] = arr
+        arrays.update(("adapter." + k, v)
+                      for k, v in model.encoder.stats_arrays().items())
     if optimizer is not None:
-        for name, arr in sorted(optimizer.state_arrays().items()):
-            arrays[f"opt.{name}"] = np.asarray(arr)
-    arrays = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
+        arrays.update(("opt." + k, v) for k, v in optimizer.state_arrays().items())
+    sections = [name for name in SECTIONS if name in arrays]
     header = {
         "version": CHECKPOINT_VERSION,
         "step": step,
         "config": config_to_dict(model.config),
         "visual_frozen": (model.visual_store.frozen
                           if model.visual_store is not None else None),
-        "arrays": _array_entries(arrays),
+        "sections": sections,
     }
     blob = json.dumps(header, sort_keys=True).encode()
+    payload = np.concatenate([arrays[name].ravel() for name in sections])
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for v in arrays.values():
-            fh.write(v.tobytes())
+        fh.write(payload.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Rebuild the model (and raw optimizer arrays) from a checkpoint.
-
-    Returns (model, opt_arrays, step).
-    """
-    with open(path, "rb") as fh:
-        magic = dataio._read_exact(fh, 4, 0, "magic")
-        if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"bad checkpoint magic {magic!r}", offset=0)
-        version, hlen = struct.unpack(
-            "<II", dataio._read_exact(fh, 8, 4, "header length"))
-        if version != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {version}",
-                              offset=4)
-        blob = dataio._read_exact(fh, hlen, 12, "header")
-        try:
-            header = json.loads(blob.decode())
-        except ValueError as exc:      # bad JSON or bad UTF-8
-            raise FormatError(f"unreadable checkpoint header: {exc}",
-                              offset=12) from exc
-        missing = (sorted(_HEADER_KEYS - header.keys())
-                   if isinstance(header, dict) else sorted(_HEADER_KEYS))
-        if missing:
-            raise FormatError(f"checkpoint header lacks {missing}", offset=12)
-        try:
-            entries = [(e["name"], np.dtype(e["dtype"]), tuple(e["shape"]))
-                       for e in header["arrays"]]
-            config = config_from_dict(header["config"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad checkpoint header: {exc!r}",
-                              offset=12) from exc
-        arrays = {}
-        offset = 12 + hlen
-        for name, dtype, shape in entries:
-            if name in arrays:
-                raise FormatError(f"checkpoint array '{name}' listed twice",
-                                  offset=12)
-            count = int(np.prod(shape)) if shape else 1
-            buf = dataio._read_exact(fh, count * dtype.itemsize, offset,
-                                     f"array '{name}'")
-            arrays[name] = np.frombuffer(buf, dtype=dtype).reshape(shape)
-            offset += len(buf)
-        if fh.read(1):
-            raise FormatError("bytes after the last array", offset=offset)
-
-    language_store = None
-    if "store.language" in arrays:
-        language_store = ProtoStore(
-            kind="language", tensor=Tensor(arrays["store.language"].copy()))
-    visual_store = None
-    if "store.visual" in arrays:
-        visual_store = ProtoStore(
-            kind="visual", tensor=Tensor(arrays["store.visual"].copy(),
-                                         requires_grad=True),
-            frozen=bool(header["visual_frozen"]))
-    model = SgearModel(config, visual_store=visual_store,
-                       language_store=language_store)
-    if isinstance(model.encoder, FeatureAdapter):
-        model.encoder.load_stats_arrays(
-            {k[len("adapter."):]: v for k, v in arrays.items()
-             if k.startswith("adapter.")})
-    params = model.parameters()
-    for name, arr in arrays.items():
-        if name.startswith("param."):
-            param = params.get(name[len("param."):])
-            # save_checkpoint writes a 0-d parameter as a (1,) array
-            if param is None or arr.shape not in (param.shape, param.shape or (1,)):
-                raise FormatError(f"checkpoint array '{name}' {arr.shape} matches "
-                                  f"no model parameter")
-            param.data[...] = arr
-    missing = [f"param.{name}" for name in params if f"param.{name}" not in arrays]
-    if missing:
-        raise FormatError(f"checkpoint lacks parameter arrays {missing}",
+    """Rebuild the model (and the optimizer's flat buffers) from a checkpoint;
+    the rebuilt model sizes each section, and the sections must cover the
+    payload exactly. Returns (model, opt_arrays, step)."""
+    data, (hlen,) = dataio.read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                       1, "checkpoint")
+    pos = 12 + hlen
+    if len(data) < pos:
+        raise FormatError("truncated file while reading the JSON header",
                           offset=12)
-    opt_arrays = {k[len("opt."):]: v for k, v in arrays.items()
-                  if k.startswith("opt.")}
+    try:
+        header = json.loads(data[12:pos].decode())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep
+        raise FormatError(f"unreadable checkpoint header: {exc}",
+                          offset=12) from exc
+    missing = (sorted(_HEADER_KEYS - header.keys())
+               if isinstance(header, dict) else sorted(_HEADER_KEYS))
+    if missing:
+        raise FormatError(f"checkpoint header lacks {missing}", offset=12)
+    sections = header["sections"]
+    if (not isinstance(sections, list) or not all(x in SECTIONS for x in sections)
+            or sections != sorted(set(sections), key=SECTIONS.index)
+            or "param" not in sections
+            or ("adapter.mu" in sections) != ("adapter.inv_sigma" in sections)):
+        raise FormatError(f"checkpoint sections {sections!r} are not distinct "
+                          f"names from {SECTIONS} in that order, with 'param' "
+                          "and both adapter statistics or neither", offset=12)
+    try:
+        config = config_from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad checkpoint config: {exc!r}", offset=12) from exc
+
+    def take(name, count):
+        nonlocal pos
+        if len(data) < pos + 8 * count:
+            raise FormatError(f"truncated file while reading section '{name}' "
+                              f"({count} float64 values)", offset=pos)
+        pos += 8 * count
+        return np.frombuffer(data, "<f8", count, pos - 8 * count)
+
+    k, d = config.num_classes, config.d
+    visual_store = language_store = None
+    if "store.visual" in sections:
+        visual_store = ProtoStore(
+            kind="visual", tensor=Tensor(take("store.visual", k * d).reshape(k, d)
+                                         .copy(), requires_grad=True),
+            frozen=bool(header["visual_frozen"]))
+    if "store.language" in sections:
+        language_store = ProtoStore(kind="language", tensor=Tensor(
+            take("store.language", k * d).reshape(k, d).copy()))
+    try:
+        model = SgearModel(config, visual_store=visual_store,
+                           language_store=language_store)
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint config builds no model: {exc}",
+                          offset=12) from exc
+    # a model without an adapter leaves its sections to fail the length check
+    if isinstance(model.encoder, FeatureAdapter) and "adapter.mu" in sections:
+        model.encoder.load_stats_arrays(
+            {name: take(f"adapter.{name}", d) for name in ("mu", "inv_sigma")})
+    params = [p for _, p in sorted(model.parameters().items())]
+    sizes = [p.data.size for p in params]
+    flat = take("param", sum(sizes))
+    for p, part in zip(params, np.split(flat, np.cumsum(sizes)[:-1])):
+        p.data[...] = part.reshape(p.shape)
+    opt_arrays = {name[len("opt."):]: take(name, 1 if name == "opt.t" else flat.size)
+                  for name in sections if name.startswith("opt.")}
+    if pos != len(data):
+        raise FormatError("bytes after the last section", offset=pos)
     return model, opt_arrays, header["step"]

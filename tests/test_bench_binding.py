@@ -1,8 +1,9 @@
 """The benchmark under perfbench/ still binds to the package: every entry
 point its tracer wraps exists, its node-counting pass reads the loss and the
 head's output it expects, its gradcheck workload builds and runs one probe,
-and its eval workload times one clip per `predict` call. A change in src/
-that would break the benchmark fails here first."""
+its eval workload times one clip per `predict` call, and the checkpoint calls
+it makes keep their forms. A change in src/ that would break the benchmark
+fails here first."""
 
 import importlib
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgear import dataio, evaluate
+from sgear import dataio, evaluate, trainer
 from sgear.autodiff import Tensor
 from sgear.model import SgearModel
 from sgear.semantic import LossWeights, ProtoStore
@@ -80,3 +81,28 @@ def test_eval_clock_records_one_latency_per_clip(perfbench):
     assert [p.scores.shape for p in preds] == [(k,)] * len(clips)
     assert len(work.latency_ms) == len(clips)
     assert all(ms > 0 for ms in work.latency_ms)
+
+
+def test_eval_workload_checkpoint_calls(perfbench, tmp_path):
+    """The eval workload trains, saves and loads in exactly these forms, and
+    its repeated set-up checks that the same training writes the same
+    bytes."""
+    _, workloads = perfbench
+    k, frames, d = workloads.K, workloads.FRAMES, workloads.D
+    language = ProtoStore(kind="language", tensor=Tensor(
+        dataio.language_prototypes_from_cooccurrence(np.full((k, k), 1.0 / k), d)))
+    rng = np.random.default_rng(3)
+    clips = [(rng.normal(size=(frames, workloads.TOKENS, d)), i % k, None)
+             for i in range(4)]
+    saved = []
+    for repeat in range(2):
+        trained = workloads.tiny_model(k, frames, d, language)
+        history, optimizer = trainer.fit(trained, clips,
+                                         workloads.train_config(trained))
+        path = tmp_path / f"model{repeat}.sgck"
+        trainer.save_checkpoint(path, trained, optimizer, step=len(history))
+        saved.append(path.read_bytes())
+    assert saved[0] == saved[1]
+    model, _, _ = trainer.load_checkpoint(path)
+    assert np.array_equal(model.predict(clips[0][0]),
+                          trained.predict(clips[0][0]))

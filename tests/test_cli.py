@@ -199,7 +199,7 @@ class TestExitCodes:
                      "--weights", "1.0", "--out", str(root / "no.jsonl")])
         assert code == 2
 
-    @pytest.mark.parametrize("key", ["arrays", "config", "step", "visual_frozen",
+    @pytest.mark.parametrize("key", ["sections", "config", "step", "visual_frozen",
                                      "config.decoder", "config.encoder.mode",
                                      "config.encoder.mode:vit-lite"])
     def test_checkpoint_header_without_key_is_3(self, workspace, tmp_path,
@@ -226,31 +226,22 @@ class TestExitCodes:
         assert code == 3
         assert "byte offset 12" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change", ["name", "shape"])
-    def test_checkpoint_array_matching_no_parameter_is_3(
-            self, workspace, tmp_path, capsys, change):
-        """A renamed parameter array, or one whose (n,) shape reads as
-        (1, n), ends in exit 3 naming it, not in a traceback."""
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_checkpoint_payload_one_float_off_is_3(self, workspace, tmp_path,
+                                                   capsys, change):
+        """A payload one float short or long ends in exit 3 naming the byte
+        offset, not in a traceback: the model, not the file, sizes it."""
         root, data, ckpt = workspace
         raw = ckpt.read_bytes()
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen])
-        entry = next(e for e in header["arrays"]
-                     if e["name"].startswith("param.") and len(e["shape"]) == 1
-                     and e["shape"][0] > 1)
-        if change == "name":
-            entry["name"] = "param.nope"
-        else:
-            entry["shape"] = [1] + entry["shape"]
-        blob = json.dumps(header).encode()
         bad = tmp_path / "bad.sgck"
-        bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
-                        + raw[12 + hlen:])
+        bad.write_bytes(raw[:-8] if change == "short" else raw + raw[-8:])
         code = main(["eval", "--checkpoint", str(bad),
                      "--manifest", str(data / "manifest.jsonl")])
         err = capsys.readouterr().err
         assert code == 3
-        assert f"'{entry['name']}'" in err and "Traceback" not in err
+        assert "byte offset" in err and "Traceback" not in err
+        if change == "long":
+            assert f"bytes after the last section (byte offset {len(raw)})" in err
 
     def test_mixed_feature_shapes_is_3(self, tmp_path, capsys):
         data = tmp_path / "mixed"

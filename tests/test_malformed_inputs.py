@@ -1,14 +1,14 @@
 """Malformed inputs through `sgear.cli.main`: each ends in its documented exit
 code (2 config, 3 data or format), never in an exception escaping `main`.
 
-JSON inputs name the path and the 1-based line of the bad line; the binary
-truncations stay here as guards.
+JSON inputs name the path and the 1-based line of the bad line. Binary inputs
+name the byte offset: no size read from a file is trusted before it is checked
+against the file's length.
 """
 
 import json
 import struct
 
-import numpy as np
 import pytest
 
 from sgear import cli, trainer
@@ -87,6 +87,7 @@ MANIFEST_CASES = [
     ("labels-not-list", set_key(1, "labels", 5), 2),
     ("labels-wrong-arity", set_key(1, "labels", [[0.5, 1, 2]]), 2),
     ("not-utf8", replace_line(4, '{"clip_id": "\uffff"}'), 5),
+    ("nested-too-deep", replace_line(2, "[" * 100000 + "]" * 100000), 3),
     # values that parse but are wrong
     ("target-float", set_key(2, "target", 2.5), 3),
     ("target-bool", set_key(2, "target", True), 3),
@@ -326,50 +327,87 @@ def test_truncated_binary_file_exits_3(ws, tmp_path, capsys, which):
     assert code == 3
 
 
-def drop_array(name):
-    """Checkpoint edit: the header's entry `name` and its bytes removed."""
+def edit_header(fn):
+    """Checkpoint edit: the JSON header changed by fn, the payload kept."""
     def edit(data):
         (hlen,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + hlen])
-        kept, offset = [], 12 + hlen
-        for entry in header["arrays"]:
-            size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
-            if entry["name"] != name:
-                kept.append((entry, data[offset:offset + size]))
-            offset += size
-        assert offset == len(data) and len(kept) == len(header["arrays"]) - 1
-        header["arrays"] = [entry for entry, _ in kept]
-        blob = json.dumps(header, sort_keys=True).encode()
-        return (data[:8] + struct.pack("<I", len(blob)) + blob
-                + b"".join(blob for _, blob in kept))
+        blob = json.dumps(fn(json.loads(data[12:12 + hlen])),
+                          sort_keys=True).encode()
+        return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen:]
     return edit
 
 
-def repeat_array(name):
-    """Checkpoint edit: a second header entry and payload for `name`."""
+def set_sections(fn):
+    return edit_header(lambda header: {**header,
+                                       "sections": fn(header["sections"])})
+
+
+def nested_header(depth):
+    """Checkpoint edit: the JSON header replaced by `depth` nested lists."""
     def edit(data):
         (hlen,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + hlen])
-        entry = next(e for e in header["arrays"] if e["name"] == name)
-        header["arrays"].append(entry)
-        size = int(np.prod(entry["shape"])) * np.dtype(entry["dtype"]).itemsize
-        blob = json.dumps(header, sort_keys=True).encode()
-        return (data[:8] + struct.pack("<I", len(blob)) + blob
-                + data[12 + hlen:] + b"\0" * size)
+        blob = b"[" * depth + b"]" * depth
+        return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + hlen:]
     return edit
+
+
+def set_u32(offset, value):
+    """Binary edit: the u32 at `offset` set to `value`."""
+    return lambda data: (data[:offset] + struct.pack("<I", value)
+                         + data[offset + 4:])
+
+
+def set_config(path, value):
+    """Checkpoint edit: the config field at dotted `path` set to `value`."""
+    *parents, last = path.split(".")
+
+    def change(header):
+        node = header["config"]
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return header
+    return edit_header(change)
+
+
+def swap_first_two(sections):
+    return [sections[1], sections[0], *sections[2:]]
 
 
 # (id, edit of the checkpoint bytes, text the message must hold, given the
-# length of the unedited file)
+# length of the unedited file); the test checkpoint is the desk preset's
+# (AdamW), so its sections end in opt.v
 CHECKPOINT_CASES = [
-    ("missing-parameter", drop_array("param.head.alpha"),
-     lambda n: "lacks parameter arrays ['param.head.alpha']"),
+    ("missing-parameter", set_sections(lambda s: [x for x in s if x != "param"]),
+     lambda n: "neither (byte offset 12)"),
     ("trailing-byte", lambda data: data + b"\0",
-     lambda n: f"bytes after the last array (byte offset {n})"),
+     lambda n: f"bytes after the last section (byte offset {n})"),
     ("trailing-array", lambda data: data + data[-8:],
-     lambda n: f"bytes after the last array (byte offset {n})"),
-    ("repeated-array", repeat_array("param.head.alpha"),
-     lambda n: "array 'param.head.alpha' listed twice"),
+     lambda n: f"bytes after the last section (byte offset {n})"),
+    ("repeated-array", set_sections(lambda s: s + ["opt.v"]),
+     lambda n: "are not distinct names from"),
+    ("out-of-order", set_sections(swap_first_two),
+     lambda n: "are not distinct names from"),
+    ("unknown-section", set_sections(lambda s: s + ["opt.w"]),
+     lambda n: "are not distinct names from"),
+    ("sections-not-list", set_sections(lambda s: {"param": 1}),
+     lambda n: "are not distinct names from"),
+    ("one-float-short", lambda data: data[:-8],
+     lambda n: "truncated file while reading section 'opt.v'"),
+    ("version-2", set_u32(4, 2),
+     lambda n: "unsupported checkpoint version 2 (byte offset 4)"),
+    ("header-length-overflow", set_u32(8, 0xFFFFFFFF),
+     lambda n: "truncated file while reading the JSON header (byte offset 12)"),
+    ("header-length-zero", set_u32(8, 0),
+     lambda n: "unreadable checkpoint header"),
+    ("header-nested-too-deep", nested_header(100000),
+     lambda n: "unreadable checkpoint header"),
+    # a config whose fields pass but that no model can be built from
+    ("heads-not-dividing-d", set_config("tca_heads", 3),
+     lambda n: "builds no model: heads (3) must divide dim (8) (byte offset 12)"),
+    ("language-store-missing",
+     set_sections(lambda s: [x for x in s if x != "store.language"]),
+     lambda n: "builds no model: semantic guidance needs a language store"),
 ]
 
 
@@ -383,3 +421,73 @@ def test_incomplete_checkpoint_exits_3(ws, tmp_path, capsys, case, edit, text):
                      str(data / "manifest.jsonl")], capsys)
     assert code == 3
     assert text(len(ckpt.read_bytes())) in err
+
+
+@pytest.mark.parametrize("which", ["feature", "prototype"])
+def test_huge_dim_field_exits_3(ws, tmp_path, capsys, which):
+    """A first dim field of 0xFFFFFFFF is checked against the file's bytes
+    before anything is allocated."""
+    root, data, ckpt, _ = ws
+    manifest = data / "manifest.jsonl"
+    protos = data / "language_prototypes.sglp"
+    if which == "feature":
+        huge = data / "huge.sgft"
+        huge.write_bytes(set_u32(8, 0xFFFFFFFF)(
+            (data / "clip_00002.sgft").read_bytes()))
+        manifest = data / "huge-feature.jsonl"
+        manifest.write_text(set_key(3, "feature_path", huge.name)(
+            (data / "manifest.jsonl").read_text()))
+        offset = 20
+    else:
+        protos = tmp_path / "huge.sglp"
+        protos.write_bytes(set_u32(8, 0xFFFFFFFF)(
+            (data / "language_prototypes.sglp").read_bytes()))
+        offset = 16
+    code, err = run(["train", "--manifest", str(manifest), "--prototypes",
+                     str(protos), "--checkpoint", str(tmp_path / "m.sgck"),
+                     "--epochs", "1"], capsys)
+    assert code == 3
+    assert f"float32 values (byte offset {offset})" in err
+
+
+# one bad value per config field the header holds
+CONFIG_CASES = [
+    ("num_classes", 0), ("frames", -1), ("d", 2.5), ("n_tca", "a"),
+    ("tca_heads", -1), ("pa_k", 0), ("subset_ratio", 0), ("subset_ratio", 1.5),
+    ("subset_ratio", "1"), ("subset_seed", -1), ("seed", True),
+    ("encoder.mode", []), ("encoder.d", 0), ("decoder.d", None),
+    ("decoder.layers", 0), ("decoder.heads", 0), ("decoder.mlp_hidden", []),
+    ("decoder.max_len", 0), ("decoder.max_rollout_steps", -1),
+    ("toggles.tca", 1), ("toggles.pa", "yes"), ("toggles.sem", None),
+    ("toggles.use_language_as_visual", 0), ("toggles", []), ("decoder", 3),
+]
+
+
+@pytest.mark.parametrize("path,value", CONFIG_CASES,
+                         ids=[f"{p}={v!r}" for p, v in CONFIG_CASES])
+def test_bad_checkpoint_config_exits_3(ws, tmp_path, capsys, path, value):
+    root, data, ckpt, _ = ws
+    bad = tmp_path / "bad.sgck"
+    bad.write_bytes(set_config(path, value)(ckpt.read_bytes()))
+    code, err = run(["eval", "--checkpoint", str(bad), "--manifest",
+                     str(data / "manifest.jsonl")], capsys)
+    assert code == 3
+    assert "byte offset 12" in err and path.split(".")[-1] in err.lower()
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, "a", None, [], 0],
+                         ids=lambda v: repr(v))
+@pytest.mark.parametrize("field", ["d", "num_classes", "frames", "n_tca",
+                                   "tca_heads", "seed"])
+def test_checkpoint_config_value_grid(ws, tmp_path, capsys, field, value):
+    """Each of six values in each of six fields exits 3 at the header's
+    offset; only seed 0 is a valid value, and it loads and evaluates."""
+    root, data, ckpt, _ = ws
+    bad = tmp_path / "bad.sgck"
+    bad.write_bytes(set_config(field, value)(ckpt.read_bytes()))
+    code, err = run(["eval", "--checkpoint", str(bad), "--manifest",
+                     str(data / "manifest.jsonl")], capsys)
+    if field == "seed" and value == 0:
+        assert code == 0
+    else:
+        assert code == 3 and "byte offset 12" in err

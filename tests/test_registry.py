@@ -132,6 +132,12 @@ def test_frozen_visual_store_leaves_the_registry():
     assert_same_registry(model)
 
 
+def adapter(rng):
+    block = encoder.FeatureAdapter(EncoderConfig(mode="adapter", d=D), rng)
+    block.set_prototype_stats(np.zeros(D), np.ones(D))
+    return block
+
+
 @pytest.mark.parametrize("build", [
     lambda rng: tca.TcaStack(D, 2, T, rng, n_blocks=3),
     lambda rng: CausalDecoder(DecoderConfig(d=D, layers=3, heads=2,
@@ -140,8 +146,7 @@ def test_frozen_visual_store_leaves_the_registry():
     lambda rng: semantic.CosineHead(D, K, rng),
     lambda rng: semantic.LinearHead(D, K, rng),
     lambda rng: encoder.PassthroughEncoder(EncoderConfig(d=D), rng),
-    lambda rng: encoder.FeatureAdapter(EncoderConfig(mode="adapter", d=D), rng,
-                                       proto_stats=(np.zeros(D), np.ones(D))),
+    adapter,
 ], ids=["tca_stack", "decoder", "pa", "cosine_head", "linear_head",
         "passthrough", "adapter"])
 def test_block_registry_matches_oracle(build):

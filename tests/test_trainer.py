@@ -223,6 +223,46 @@ class TestTraining:
             assert all(lbl is not None for lbl in past_labels)
 
 
+def section_ends(data, model):
+    """The header of checkpoint bytes `data` and the byte offset where each
+    of its sections ends, each sized from `model` as the format says."""
+    (hlen,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + hlen])
+    k, d = model.config.num_classes, model.config.d
+    n = sum(p.data.size for p in model.parameters().values())
+    sizes = {"store.visual": k * d, "store.language": k * d, "adapter.mu": d,
+             "adapter.inv_sigma": d, "opt.t": 1}
+    offset, ends = 12 + hlen, {}
+    for name in header["sections"]:
+        offset += 8 * sizes.get(name, n)
+        ends[name] = offset
+    assert offset == len(data)
+    return header, ends
+
+
+def adapter_model(manifest_path, proto_path):
+    """Setting 4 in adapter mode, with its statistics set, and its clips
+    (the dataset's first token of each frame)."""
+    lang = ProtoStore.load(proto_path, kind="language")
+    config = ModelConfig(
+        num_classes=K, frames=T, d=D,
+        encoder=EncoderConfig(mode="adapter", d=D),
+        decoder=DecoderConfig(d=D, layers=1, heads=2, mlp_hidden=16,
+                              max_len=T),
+        toggles=TABLE3_SETTINGS["4"])
+    model = SgearModel(config, language_store=lang)
+    rng = np.random.default_rng(1)
+    model.encoder.set_prototype_stats(rng.normal(size=D),
+                                      rng.uniform(0.5, 2.0, size=D))
+    _, clips = load_dataset(manifest_path)
+    return model, [(x[:, :1], y, past) for x, y, past in clips]
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestCheckpoint:
     def test_round_trip_preserves_predictions(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path)
@@ -236,7 +276,47 @@ class TestCheckpoint:
         assert step == 3
         x = clips[0][0]
         assert np.array_equal(model.predict(x), back.predict(x))
-        assert "velocity.decoder.pos" in opt_arrays or "m.decoder.pos" in opt_arrays
+        want = optimizer.state_arrays()
+        assert list(opt_arrays) == list(want) == ["t", "m", "v"]
+        for name in want:
+            assert_same_bytes(opt_arrays[name], want[name])
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adamw"])
+    @pytest.mark.parametrize("setting", sorted(TABLE3_SETTINGS) + ["adapter"])
+    def test_round_trip_is_bit_exact(self, tmp_path, setting, optimizer):
+        """Every parameter, store, adapter statistic and optimizer buffer
+        comes back bit for bit."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=6)
+        if setting == "adapter":
+            model, clips = adapter_model(manifest_path, proto_path)
+        else:
+            _, clips = load_dataset(manifest_path)
+            model = tiny_model(manifest_path, proto_path, setting=setting)
+        cfg = TrainConfig(optimizer=optimizer, lr=1e-2, epochs=1, batch_size=4)
+        _, opt = fit(model, clips, cfg)
+        path = tmp_path / "model.sgck"
+        save_checkpoint(path, model, opt, step=2)
+        back, opt_arrays, _ = load_checkpoint(path)
+        params, got = model.parameters(), back.parameters()
+        assert list(got) == list(params)
+        for name in params:
+            assert_same_bytes(got[name].data, params[name].data)
+        for attr in ("visual_store", "language_store"):
+            store, loaded = getattr(model, attr), getattr(back, attr)
+            assert (store is None) == (loaded is None)
+            if store is not None:
+                assert_same_bytes(loaded.tensor.data, store.tensor.data)
+                assert loaded.frozen == store.frozen
+        stats = model.encoder.stats_arrays() if setting == "adapter" else {}
+        loaded = back.encoder.stats_arrays() if setting == "adapter" else {}
+        assert list(loaded) == list(stats) == ([] if not stats
+                                               else ["mu", "inv_sigma"])
+        for name in stats:
+            assert_same_bytes(loaded[name], stats[name])
+        want = opt.state_arrays()
+        assert list(opt_arrays) == list(want)
+        for name in want:
+            assert_same_bytes(opt_arrays[name], want[name])
 
     def test_save_load_save_byte_identical(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path)
@@ -248,6 +328,15 @@ class TestCheckpoint:
         save_checkpoint(b, back, step=step)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_optimizer_of_other_parameters_is_config_error(self, tmp_path):
+        """An optimizer buffer the model would not size is never written."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        other = Sgd({"x": Tensor(np.zeros(3), requires_grad=True)})
+        with pytest.raises(ConfigError, match="not the model's"):
+            save_checkpoint(tmp_path / "m.sgck", model, other)
+        assert not (tmp_path / "m.sgck").exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.sgck"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -255,26 +344,38 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.offset == 0
 
-    def test_truncated_prefixes_raise_format_error(self, tmp_path):
-        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
-        model = tiny_model(manifest_path, proto_path)
-        path = tmp_path / "m.sgck"
-        save_checkpoint(path, model, step=1)
+    def assert_every_cut_fails(self, path, model):
+        """Every length through the header, then each section end +-1."""
         data = path.read_bytes()
         (hlen,) = struct.unpack("<I", data[8:12])
-        # every length through the header, then each array boundary +-1
+        _, ends = section_ends(data, model)
         cuts = set(range(12 + hlen + 1))
-        offset = 12 + hlen
-        for entry in json.loads(data[12:12 + hlen])["arrays"]:
-            offset += (int(np.prod(entry["shape"]))
-                       * np.dtype(entry["dtype"]).itemsize)
-            cuts.update((offset - 1, offset, offset + 1))
-        assert offset == len(data)
-        cut = tmp_path / "cut.sgck"
+        for end in ends.values():
+            cuts.update((end - 1, end, end + 1))
+        cut = path.with_name("cut.sgck")
         for n in sorted(c for c in cuts if c < len(data)):
             cut.write_bytes(data[:n])
             with pytest.raises(FormatError):
                 load_checkpoint(cut)
+        return ends
+
+    def test_truncated_prefixes_raise_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model, AdamW(model.parameters()), step=1)
+        ends = self.assert_every_cut_fails(path, model)
+        assert list(ends) == ["store.visual", "store.language", "param", "opt.t",
+                              "opt.m", "opt.v"]
+
+    def test_truncated_adapter_checkpoint_raises_format_error(self, tmp_path):
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model, _ = adapter_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model, Sgd(model.parameters()), step=1)
+        ends = self.assert_every_cut_fails(path, model)
+        assert list(ends) == ["store.visual", "store.language", "adapter.mu",
+                              "adapter.inv_sigma", "param", "opt.velocity"]
 
     def test_corrupt_header_is_format_error(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
@@ -295,8 +396,9 @@ class TestCheckpoint:
         data = path.read_bytes()
         (hlen,) = struct.unpack("<I", data[8:12])
         full = json.loads(data[12:12 + hlen])
-        headers = [{}, [], {k: v for k, v in full.items() if k != "arrays"},
-                   dict(full, arrays=[{"name": "x"}]), dict(full, config={})]
+        headers = [{}, [], {k: v for k, v in full.items() if k != "sections"},
+                   dict(full, sections=["x"]), dict(full, sections="param"),
+                   dict(full, config={})]
         for header in headers:
             blob = json.dumps(header).encode()
             path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
@@ -305,34 +407,98 @@ class TestCheckpoint:
                 load_checkpoint(path)
             assert exc.value.offset == 12
 
+    @pytest.mark.parametrize("dropped", ["adapter.mu", "adapter.inv_sigma"])
+    def test_one_adapter_section_is_format_error(self, tmp_path, dropped):
+        """The model reads both statistics or neither, so a list naming one
+        of them is rejected."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model, _ = adapter_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + hlen])
+        header["sections"].remove(dropped)
+        blob = json.dumps(header).encode()
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                         + data[12 + hlen:])
+        with pytest.raises(FormatError, match="both adapter statistics") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 12
+
+    def test_adapter_sections_of_a_passthrough_model_are_format_error(
+            self, tmp_path):
+        """A model without an adapter reads no statistics, so their floats
+        are left over after the last section."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model)
+        data = path.read_bytes()
+        header, ends = section_ends(data, model)
+        header["sections"][2:2] = ["adapter.mu", "adapter.inv_sigma"]
+        blob = json.dumps(header).encode()
+        (hlen,) = struct.unpack("<I", data[8:12])
+        cut = ends["store.language"]          # the statistics go after it
+        path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                         + data[12 + hlen:cut] + np.zeros(2 * D).tobytes()
+                         + data[cut:])
+        with pytest.raises(FormatError, match="bytes after the last section"):
+            load_checkpoint(path)
+
     def test_array_of_no_parameter_is_format_error(self, tmp_path):
+        """A section name the format does not know is rejected by name."""
         manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
         path = tmp_path / "m.sgck"
         save_checkpoint(path, tiny_model(manifest_path, proto_path))
         data = path.read_bytes()
         (hlen,) = struct.unpack("<I", data[8:12])
         header = json.loads(data[12:12 + hlen])
-        entry = next(e for e in header["arrays"] if e["name"].startswith("param."))
-        entry["name"] = "param.nope"
+        header["sections"][header["sections"].index("param")] = "param.nope"
         blob = json.dumps(header).encode()
         path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                          + data[12 + hlen:])
-        with pytest.raises(FormatError, match="'param.nope'"):
+        with pytest.raises(FormatError, match="'param.nope'") as exc:
             load_checkpoint(path)
+        assert exc.value.offset == 12
 
     @pytest.mark.parametrize("size", [1, 3])
     def test_array_of_other_shape_is_format_error(self, tmp_path, size):
         """A (1,) array would broadcast into the parameter, a (3,) one would
-        not; both are rejected by name."""
+        not; the config sizes the parameter, so both leave the 'param'
+        section short."""
         manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
         model = tiny_model(manifest_path, proto_path)
-        name, param = next((n, p) for n, p in model.parameters().items()
-                           if p.data.ndim == 1 and p.data.size > size)
+        _, param = next((n, p) for n, p in model.parameters().items()
+                        if p.data.ndim == 1 and p.data.size > size)
         param.data = param.data[:size].copy()
         path = tmp_path / "m.sgck"
         save_checkpoint(path, model)
-        with pytest.raises(FormatError, match=f"'param.{name}' \\({size},\\)"):
+        _, ends = section_ends(path.read_bytes(), model)
+        with pytest.raises(FormatError, match="section 'param'") as exc:
             load_checkpoint(path)
+        assert exc.value.offset == ends["store.language"]
+
+    @pytest.mark.parametrize("change", ["short", "long"])
+    def test_payload_one_float_off_is_format_error(self, tmp_path, change):
+        """The sizes come from the model: a payload one float short fails at
+        the start of its last section, one float long at its end."""
+        manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
+        model = tiny_model(manifest_path, proto_path)
+        path = tmp_path / "m.sgck"
+        save_checkpoint(path, model, Sgd(model.parameters()))
+        data = path.read_bytes()
+        _, ends = section_ends(data, model)
+        *_, before, last = ends
+        if change == "short":
+            path.write_bytes(data[:-8])
+            match, offset = f"section '{last}'", ends[before]
+        else:
+            path.write_bytes(data + data[-8:])
+            match, offset = "bytes after the last section", len(data)
+        with pytest.raises(FormatError, match=match) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == offset
 
     def test_adapter_statistics_survive(self, tmp_path):
         manifest_path, proto_path = tiny_dataset(tmp_path, n_clips=4)
