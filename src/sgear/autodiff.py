@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from contextlib import contextmanager
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -49,26 +48,35 @@ class _DetachTape:
         self.cursor = 0
 
 
-@contextmanager
-def no_grad():
+class no_grad:
     """Build no autodiff graph inside the block; the previous setting comes
     back on exit, also when the block raises."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+
+    __slots__ = ("_prev",)
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self._prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
+        return False
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_F64 = np.dtype(np.float64)
+
+# numpy's array methods `sum` and `max` are Python wrappers around these
+_sum = np.add.reduce
+_max = np.maximum.reduce
 
 
 def _all_finite(data):
     # exact: a finite sum proves every entry finite; only a non-finite sum (a
     # bad entry, or an overflow, which numpy warns about) is checked entrywise
-    return math.isfinite(data.sum()) or np.isfinite(data).all()
+    return math.isfinite(_sum(data, None)) or np.isfinite(data).all()
 
 
 def _finite(name, data):
@@ -83,10 +91,10 @@ def _unbroadcast(grad, shape):
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = _sum(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = _sum(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -162,9 +170,9 @@ class Tensor:
         if out.requires_grad:
             def back(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(g, self.shape))
+                    self._accum(_unbroadcast(g, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(g, other.shape))
+                    other._accum(_unbroadcast(g, other.data.shape))
             out._backward = back
         return out
 
@@ -174,9 +182,9 @@ class Tensor:
         if out.requires_grad:
             def back(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(g, self.shape))
+                    self._accum(_unbroadcast(g, self.data.shape))
                 if other.requires_grad:
-                    other._accum(-_unbroadcast(g, other.shape))
+                    other._accum(-_unbroadcast(g, other.data.shape))
             out._backward = back
         return out
 
@@ -186,9 +194,9 @@ class Tensor:
         if out.requires_grad:
             def back(g):
                 if self.requires_grad:
-                    self._accum(_unbroadcast(g * other.data, self.shape))
+                    self._accum(_unbroadcast(g * other.data, self.data.shape))
                 if other.requires_grad:
-                    other._accum(_unbroadcast(g * self.data, other.shape))
+                    other._accum(_unbroadcast(g * self.data, other.data.shape))
             out._backward = back
         return out
 
@@ -205,11 +213,11 @@ class Tensor:
     def reshape(self, *shape):
         out = _make(self.data.reshape(*shape), (self,), "reshape")
         if out.requires_grad:
-            out._backward = lambda g: self._accum(g.reshape(self.shape))
+            out._backward = lambda g: self._accum(g.reshape(self.data.shape))
         return out
 
     def transpose(self, *axes):
-        axes = axes or tuple(reversed(range(self.ndim)))
+        axes = axes or tuple(reversed(range(self.data.ndim)))
         out = _make(self.data.transpose(axes), (self,), "transpose")
         if out.requires_grad:
             inv = np.argsort(axes)
@@ -218,7 +226,7 @@ class Tensor:
 
     def swapaxes(self, a, b):
         """Exchange axes a and b; swapping an axis with itself returns self."""
-        axes = list(range(self.ndim))
+        axes = list(range(self.data.ndim))
         axes[a], axes[b] = axes[b], axes[a]
         return self if axes[a] == axes[b] else self.transpose(*axes)
 
@@ -240,17 +248,17 @@ class Tensor:
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), "sum")
+        out = _make(_sum(self.data, axis=axis, keepdims=keepdims), (self,), "sum")
         if out.requires_grad:
             def back(g):
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accum(np.broadcast_to(g, self.shape))
+                self._accum(np.broadcast_to(g, self.data.shape))
             out._backward = back
         return out
 
     def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.shape[axis]
+        n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
     # -- nonlinearities -------------------------------------------------------
@@ -263,14 +271,38 @@ class Tensor:
 
 
 def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if type(x) is Tensor else Tensor(x)
+
+
+def _tensors(*xs):
+    """`xs`, each as a Tensor; ops mostly get Tensors already."""
+    for x in xs:
+        if type(x) is not Tensor:
+            return tuple(map(_as_tensor, xs))
+    return xs
+
+
+_new_tensor = object.__new__
 
 
 def _make(data, prev, name):
-    out = Tensor(_finite(name, data))
-    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in prev)
-    if out.requires_grad:
-        out._prev = tuple(prev)
+    """The output of op `name`: `data` as float64, with `prev` as its parents
+    when gradients are on and some parent requires grad."""
+    if CHECK_FINITE:
+        _finite(name, data)
+    if type(data) is not np.ndarray or data.dtype is not _F64:
+        data = np.asarray(data, dtype=np.float64)
+    out = _new_tensor(Tensor)
+    out.data = data
+    out.grad = out._backward = None
+    if _GRAD_ENABLED:
+        for p in prev:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._prev = tuple(prev)
+                return out
+    out.requires_grad = False
+    out._prev = ()
     return out
 
 
@@ -278,41 +310,41 @@ def _make(data, prev, name):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with gradients for both operands (batched leading dims ok)."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents disagree: {a.shape} vs {b.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b), "matmul")
+    a, b = _tensors(a, b)
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul needs >=2-d operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul inner extents disagree: {ad.shape} vs {bd.shape}")
+    out = _make(np.matmul(ad, bd), (a, b), "matmul")
     if out.requires_grad:
         def back(g):
             if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a._accum(_unbroadcast(ga, a.shape))
+                a._accum(_unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), ad.shape))
             if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b._accum(_unbroadcast(gb, b.shape))
+                b._accum(_unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), bd.shape))
         out._backward = back
     return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for (in, out) weights and rows x of shape (..., n, in)."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (w.ndim != 2 or x.ndim < 2 or x.shape[-1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ShapeError(f"linear shapes disagree: x {x.shape}, w {w.shape}, "
-                         f"b {b.shape}")
-    out = _make(np.matmul(x.data, w.data) + b.data, (x, w, b), "linear")
+    x, w, b = _tensors(x, w, b)
+    xd, wd, bd = x.data, w.data, b.data
+    if (wd.ndim != 2 or xd.ndim < 2 or xd.shape[-1] != wd.shape[0]
+            or bd.shape != (wd.shape[1],)):
+        raise ShapeError(f"linear shapes disagree: x {xd.shape}, w {wd.shape}, "
+                         f"b {bd.shape}")
+    out = _make(np.matmul(xd, wd) + bd, (x, w, b), "linear")
     if out.requires_grad:
         def back(g):
-            g2 = g.reshape(-1, w.shape[1])
+            g2 = g.reshape(-1, wd.shape[1])
             if x.requires_grad:
-                x._accum(np.matmul(g, w.data.T))
+                x._accum(np.matmul(g, wd.T))
             if w.requires_grad:
-                w._accum(np.matmul(x.data.reshape(-1, w.shape[0]).T, g2))
+                w._accum(np.matmul(xd.reshape(-1, wd.shape[0]).T, g2))
             if b.requires_grad:
-                b._accum(g2.sum(axis=0))
+                b._accum(_sum(g2, axis=0))
         out._backward = back
     return out
 
@@ -320,18 +352,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def cosine(x: Tensor, p: Tensor) -> Tensor:
     """(n, m) cosine similarities of the (n, d) rows of x against the (m, d)
     rows of p, with 1e-8 added to the product of the norms."""
-    x, p = _as_tensor(x), _as_tensor(p)
-    if p.ndim != 2 or x.ndim != 2 or x.shape[-1] != p.shape[-1]:
+    x, p = _tensors(x, p)
+    xd, pd = x.data, p.data
+    if pd.ndim != 2 or xd.ndim != 2 or xd.shape[-1] != pd.shape[-1]:
         raise ShapeError(f"cosine needs (n, d) rows against (m, d) rows, got "
-                         f"{x.shape} and {p.shape}")
-    xs = (x.data * x.data).sum(axis=-1, keepdims=True)
+                         f"{xd.shape} and {pd.shape}")
+    xs = _sum(xd * xd, axis=-1, keepdims=True)
     xn = xs ** 0.5
-    ps = (p.data * p.data).sum(axis=1)
+    ps = _sum(pd * pd, axis=1)
     pn = ps ** 0.5
-    num = np.matmul(x.data, p.data.T)
+    num = np.matmul(xd, pd.T)
     # a finite denominator proves both norms finite: a squared norm that
     # overflows would otherwise give a finite cosine of 0
-    den = _finite("cosine", xn * pn + 1e-8)
+    den = xn * pn + 1e-8
+    if CHECK_FINITE:
+        _finite("cosine", den)
     inv = den ** -1.0
     out = _make(num * inv, (x, p), "cosine")
     if out.requires_grad:
@@ -340,20 +375,19 @@ def cosine(x: Tensor, p: Tensor) -> Tensor:
             gden = g * num * -1.0 * den ** -2.0
             if x.requires_grad:
                 gxs = _unbroadcast(gden * pn, xn.shape) * 0.5 * xs ** -0.5
-                x._accum(np.matmul(gnum, p.data) + 2.0 * (gxs * x.data))
+                x._accum(np.matmul(gnum, pd) + 2.0 * (gxs * xd))
             if p.requires_grad:
                 gps = _unbroadcast(gden * xn, pn.shape) * 0.5 * ps ** -0.5
-                p._accum(np.matmul(gnum.T, x.data)
-                         + 2.0 * (gps[:, None] * p.data))
+                p._accum(np.matmul(gnum.T, xd) + 2.0 * (gps[:, None] * pd))
         out._backward = back
     return out
 
 
 def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
+    tensors = _tensors(*tensors)
     out = _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, "concat")
     if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
+        sizes = [t.data.shape[axis] for t in tensors]
         splits = np.cumsum(sizes)[:-1]
         def back(g):
             for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
@@ -384,9 +418,9 @@ def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
     grad_alpha[j] = sum_{t,s} G[t, s] M[t, j+1] M[j, s] = diag(M G^T M, 1).
     """
     alpha = _as_tensor(alpha)
-    if alpha.shape != (max(t_len - 1, 0),):
+    if alpha.data.shape != (max(t_len - 1, 0),):
         raise ShapeError(f"decay_matrix needs T-1 = {t_len - 1} factors, got "
-                         f"{alpha.shape}")
+                         f"{alpha.data.shape}")
     rows, cols, lower = _decay_layout(t_len)
     factors = np.ones((t_len, t_len))
     factors[rows, cols] = alpha.data[cols]
@@ -404,20 +438,21 @@ def decay_matrix(alpha: Tensor, t_len: int) -> Tensor:
 def gate_mix(logit: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """sigmoid(logit) * a + (1 - sigmoid(logit)) * b, broadcast, as one node:
     the learned gates of the cosine head and of prototype attention."""
-    logit, a, b = _as_tensor(logit), _as_tensor(a), _as_tensor(b)
-    e = np.exp(-np.abs(logit.data))
-    s = np.where(logit.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = _make(s * a.data + (1.0 - s) * b.data, (logit, a, b), "gate_mix")
+    logit, a, b = _tensors(logit, a, b)
+    ld, ad, bd = logit.data, a.data, b.data
+    e = np.exp(-np.abs(ld))
+    s = np.where(ld >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = _make(s * ad + (1.0 - s) * bd, (logit, a, b), "gate_mix")
     if out.requires_grad:
         def back(g):
             if logit.requires_grad:
-                ga = _unbroadcast(g * a.data, logit.shape)
-                gb = _unbroadcast(g * b.data, logit.shape)
+                ga = _unbroadcast(g * ad, ld.shape)
+                gb = _unbroadcast(g * bd, ld.shape)
                 logit._accum((ga - gb) * s * (1.0 - s))
             if a.requires_grad:
-                a._accum(_unbroadcast(g * s, a.shape))
+                a._accum(_unbroadcast(g * s, ad.shape))
             if b.requires_grad:
-                b._accum(_unbroadcast(g * (1.0 - s), b.shape))
+                b._accum(_unbroadcast(g * (1.0 - s), bd.shape))
         out._backward = back
     return out
 
@@ -425,26 +460,27 @@ def gate_mix(logit: Tensor, a: Tensor, b: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = _as_tensor(x)
-    cdf = 0.5 * (1.0 + _erf(x.data * _INV_SQRT2))
-    out = _make(x.data * cdf, (x,), "gelu")
+    xd = x.data
+    cdf = 0.5 * (1.0 + _erf(xd * _INV_SQRT2))
+    out = _make(xd * cdf, (x,), "gelu")
     if out.requires_grad:
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data ** 2)
-        out._backward = lambda g: x._accum(g * (cdf + x.data * pdf))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd ** 2)
+        out._backward = lambda g: x._accum(g * (cdf + xd * pdf))
     return out
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
     """Shift-invariant softmax along `axis`."""
     x = _as_tensor(x)
-    if not _all_finite(x.data):
+    xd = x.data
+    if not _all_finite(xd):
         raise NumericError("softmax received non-finite input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(xd - _max(xd, axis=axis, keepdims=True))
+    y = e / _sum(e, axis=axis, keepdims=True)
     out = _make(y, (x,), "softmax")
     if out.requires_grad:
         def back(g):
-            dot = (g * y).sum(axis=axis, keepdims=True)
+            dot = _sum(g * y, axis=axis, keepdims=True)
             x._accum(y * (g - dot))
         out._backward = back
     return out
@@ -454,22 +490,23 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
     """(n,) negative log-probabilities of the n targets under a softmax over
     each row of the (n, K) logits."""
     logits = _as_tensor(logits)
-    if logits.ndim != 2:
+    ld = logits.data
+    if ld.ndim != 2:
         raise ShapeError(f"cross_entropy expects (n, K) logits, got "
-                         f"{logits.shape}")
-    k = logits.shape[-1]
+                         f"{ld.shape}")
+    k = ld.shape[-1]
     target = np.asarray(target, dtype=np.intp)
-    if target.shape != logits.shape[:-1]:
+    if target.shape != ld.shape[:-1]:
         raise ShapeError(f"targets {target.shape} do not match logits "
-                         f"{logits.shape}")
-    if np.any((target < 0) | (target >= k)):
+                         f"{ld.shape}")
+    if ((target < 0) | (target >= k)).any():
         raise IndexError(f"target {target} out of range for {k} classes")
     onehot = np.arange(k) == target[:, None]
-    m = logits.data.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(logits.data - m).sum(axis=-1, keepdims=True))
-    out = _make((lse - logits.data)[onehot], (logits,), "cross_entropy")
+    m = _max(ld, axis=-1, keepdims=True)
+    lse = m + np.log(_sum(np.exp(ld - m), axis=-1, keepdims=True))
+    out = _make((lse - ld)[onehot], (logits,), "cross_entropy")
     if out.requires_grad:
-        p = np.exp(logits.data - lse)
+        p = np.exp(ld - lse)
         def back(g):
             gl = p * g[:, None]
             gl[onehot] -= g
@@ -480,29 +517,33 @@ def cross_entropy(logits: Tensor, target) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
+    x, gain, bias = _tensors(x, gain, bias)
+    xd, gd, bd = x.data, gain.data, bias.data
+    n = xd.shape[-1]
+    if gd.shape != (n,) or bd.shape != (n,):
         raise ShapeError(
-            f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match "
-            f"feature extent {x.shape[-1]}")
-    inv_n = 1.0 / x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+            f"layer_norm affine shapes {gd.shape}/{bd.shape} do not match "
+            f"feature extent {n}")
+    inv_n = 1.0 / n
+    xc = xd - _sum(xd, axis=-1, keepdims=True) * inv_n
     # a finite variance proves x, its mean and xc finite, as checking each did
-    var = _finite("layer_norm", (xc * xc).sum(axis=-1, keepdims=True) * inv_n)
+    var = _sum(xc * xc, axis=-1, keepdims=True) * inv_n
+    if CHECK_FINITE:
+        _finite("layer_norm", var)
     inv = (var + eps) ** -0.5
     xhat = xc * inv
-    out = _make(xhat * gain.data + bias.data, (x, gain, bias), "layer_norm")
+    out = _make(xhat * gd + bd, (x, gain, bias), "layer_norm")
     if out.requires_grad:
         def back(g):
             if x.requires_grad:
-                gh = g * gain.data
-                x._accum(inv * (gh - gh.sum(axis=-1, keepdims=True) * inv_n
-                                - xhat * ((gh * xhat).sum(axis=-1, keepdims=True)
+                gh = g * gd
+                x._accum(inv * (gh - _sum(gh, axis=-1, keepdims=True) * inv_n
+                                - xhat * (_sum(gh * xhat, axis=-1, keepdims=True)
                                           * inv_n)))
             if gain.requires_grad:
-                gain._accum(_unbroadcast(g * xhat, gain.shape))
+                gain._accum(_unbroadcast(g * xhat, gd.shape))
             if bias.requires_grad:
-                bias._accum(_unbroadcast(g, bias.shape))
+                bias._accum(_unbroadcast(g, bd.shape))
         out._backward = back
     return out
 
@@ -510,13 +551,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def _split_heads(a, heads):
     """(..., N, d) -> (..., heads, N, d/heads), a view."""
     *lead, n, d = a.shape
-    return np.swapaxes(a.reshape(*lead, n, heads, d // heads), -3, -2)
+    return a.reshape(*lead, n, heads, d // heads).swapaxes(-3, -2)
 
 
 def _join_heads(a):
     """(..., heads, N, dh) -> (..., N, heads*dh)."""
     *lead, h, n, dh = a.shape
-    return np.swapaxes(a, -3, -2).reshape(*lead, n, h * dh)
+    return a.swapaxes(-3, -2).reshape(*lead, n, h * dh)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None, heads=1) -> Tensor:
@@ -527,21 +568,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None, heads=1) -> Ten
     scores, e.g. -1e30 above the diagonal for causal attention. Non-finite
     scores raise NumericError whether or not CHECK_FINITE is on, as `softmax`
     does."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
-            or q.shape[-1] % heads or v.shape[-1] % heads):
-        raise ShapeError(f"attention operands disagree: q {q.shape}, "
-                         f"k {k.shape}, v {v.shape}, heads {heads}")
+    q, k, v = _tensors(q, k, v)
+    qd, kd, vd = q.data, k.data, v.data
+    if (qd.shape[-1] != kd.shape[-1] or kd.shape[-2] != vd.shape[-2]
+            or qd.shape[-1] % heads or vd.shape[-1] % heads):
+        raise ShapeError(f"attention operands disagree: q {qd.shape}, "
+                         f"k {kd.shape}, v {vd.shape}, heads {heads}")
     split = heads > 1
-    qd, kd, vd = ((_split_heads(t.data, heads) for t in (q, k, v)) if split
-                  else (q.data, k.data, v.data))
-    scores = np.matmul(qd, np.swapaxes(kd, -1, -2)) * scale
+    if split:
+        qd = _split_heads(qd, heads)
+        kd = _split_heads(kd, heads)
+        vd = _split_heads(vd, heads)
+    scores = np.matmul(qd, kd.swapaxes(-1, -2)) * scale
     if mask is not None:
         scores = scores + mask
     if not _all_finite(scores):
         raise NumericError("attention received non-finite scores")
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - _max(scores, axis=-1, keepdims=True))
+    p = e / _sum(e, axis=-1, keepdims=True)
     y = np.matmul(p, vd)
     out = _make(_join_heads(y) if split else y, (q, k, v), "attention")
     if out.requires_grad:
@@ -551,16 +595,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale, mask=None, heads=1) -> Ten
             if split:
                 g = _split_heads(g, heads)
             if v.requires_grad:
-                gv = np.matmul(np.swapaxes(p, -1, -2), g)
-                v._accum(_unbroadcast(join(gv), v.shape))
+                gv = np.matmul(p.swapaxes(-1, -2), g)
+                v._accum(_unbroadcast(join(gv), v.data.shape))
             if q.requires_grad or k.requires_grad:
-                gp = np.matmul(g, np.swapaxes(vd, -1, -2))
-                gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+                gp = np.matmul(g, vd.swapaxes(-1, -2))
+                gs = p * (gp - _sum(gp * p, axis=-1, keepdims=True)) * scale
                 if q.requires_grad:
-                    q._accum(_unbroadcast(join(np.matmul(gs, kd)), q.shape))
+                    q._accum(_unbroadcast(join(np.matmul(gs, kd)), q.data.shape))
                 if k.requires_grad:
-                    gk = np.matmul(np.swapaxes(gs, -1, -2), qd)
-                    k._accum(_unbroadcast(join(gk), k.shape))
+                    gk = np.matmul(gs.swapaxes(-1, -2), qd)
+                    k._accum(_unbroadcast(join(gk), k.data.shape))
         out._backward = back
     return out
 

@@ -63,6 +63,8 @@ class SegmentRecord:
     labels: list = field(default_factory=list)  # [(time_sec, class), ...]
 
     def validate(self, num_classes):
+        if not isinstance(self.clip_id, str):
+            raise DataError(f"clip_id must be a string, got {self.clip_id!r}")
         if not math.isfinite(self.start_time) or self.start_time < 0:
             raise DataError(f"{self.clip_id}: start_time must be finite and "
                             f">= 0, got {self.start_time}")
@@ -177,6 +179,7 @@ def read_manifest(path) -> DatasetManifest:
             fps=header["fps"],
         )
         manifest.validate()            # the header's fields; no records yet
+        seen = {}                      # clip id -> its line
         for lineno, obj in rows[1:]:
             rec = SegmentRecord(
                 clip_id=obj["clip_id"],
@@ -186,6 +189,10 @@ def read_manifest(path) -> DatasetManifest:
                 labels=[tuple(lbl) for lbl in obj.get("labels", [])],
             )
             rec.validate(manifest.num_classes)
+            if rec.clip_id in seen:
+                raise DataError(f"clip_id {rec.clip_id!r} repeats line "
+                                f"{seen[rec.clip_id]}")
+            seen[rec.clip_id] = lineno
             manifest.records.append(rec)
     except DataError as exc:
         raise DataError(f"{path}, line {lineno}: {exc}") from exc
@@ -277,11 +284,17 @@ def sample_observation_window(tau_s, tau_o, tau_a, fps):
 # -- synthetic task -------------------------------------------------------------
 
 def markov_sequence(co_graph, length, rng, start=None):
-    """Draw an action sequence from the row-stochastic transition matrix."""
+    """Draw an action sequence from the row-stochastic transition matrix.
+
+    Each step inverts the row's normalized cumulative sum at one uniform
+    draw, which is what `rng.choice(k, p=row)` computes, so the sequence and
+    the generator's state are the same as with it."""
     k = co_graph.shape[0]
+    cdf = np.cumsum(co_graph, axis=1, dtype=np.float64)
+    cdf /= cdf[:, -1:]
     seq = [int(rng.integers(k)) if start is None else int(start)]
     for _ in range(length - 1):
-        seq.append(int(rng.choice(k, p=co_graph[seq[-1]])))
+        seq.append(int(cdf[seq[-1]].searchsorted(rng.random(), side="right")))
     return seq
 
 
@@ -324,6 +337,9 @@ def generate_synthetic_dataset(out_dir, num_classes, frames, d, n_clips, co_grap
     if co_graph.shape != (num_classes, num_classes):
         raise DataError(f"co_graph shape {co_graph.shape} does not match "
                         f"K={num_classes}")
+    bad = np.flatnonzero(~(co_graph >= 0).all(axis=1))     # NaN fails too
+    if bad.size:
+        raise DataError(f"co_graph row {bad[0]} has a negative or NaN entry")
     row_sums = co_graph.sum(axis=1)
     bad = np.where(np.abs(row_sums - 1.0) > 1e-6)[0]
     if bad.size:
@@ -343,10 +359,8 @@ def generate_synthetic_dataset(out_dir, num_classes, frames, d, n_clips, co_grap
     records = []
     for ci in range(n_clips):
         seq = markov_sequence(co_graph, frames + 1, rng)
-        feats = np.empty((frames, tokens, d), dtype=np.float32)
-        for t in range(frames):
-            feats[t] = (class_means[seq[t]]
-                        + rng.normal(0.0, noise, (tokens, d)))
+        noise_draw = rng.normal(0.0, noise, (frames, tokens, d))
+        feats = (class_means[seq[:frames], None, :] + noise_draw).astype(np.float32)
         clip_id = f"clip_{ci:05d}"
         fpath = out_dir / f"{clip_id}.sgft"
         write_feature_file(fpath, feats)

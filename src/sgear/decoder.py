@@ -5,6 +5,7 @@ anticipation gap at inference exceeds the training gap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,15 @@ class DecoderConfig:
             raise ConfigError(f"heads ({self.heads}) must divide d ({self.d})")
 
 
+@functools.lru_cache(maxsize=None)
+def position_index(length: int, max_len: int) -> np.ndarray:
+    """Read-only position row of each of `length` steps: positions past the
+    trained `max_len` reuse the last row."""
+    idx = np.minimum(np.arange(length), max_len - 1)
+    idx.flags.writeable = False
+    return idx
+
+
 class CausalDecoder(nn.Module):
     def __init__(self, config: DecoderConfig, rng):
         self.config = config
@@ -40,8 +50,7 @@ class CausalDecoder(nn.Module):
         ]
 
     def _positions(self, length):
-        idx = np.minimum(np.arange(length), self.config.max_len - 1)
-        return self.pos[idx]
+        return self.pos[position_index(length, self.config.max_len)]
 
     def decode(self, merged: Tensor) -> Tensor:
         """(..., T, d) -> (..., T, d); output t depends only on inputs 0..t

@@ -45,9 +45,10 @@ class Module:
 
 
 def cosine_matrix(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(..., n, m) cosines of the (..., n, d) rows of x and (m, d) rows of p."""
-    xn = np.linalg.norm(x, axis=-1, keepdims=True)
-    pn = np.linalg.norm(p, axis=-1, keepdims=True)
+    """(..., n, m) cosines of the (..., n, d) rows of x and (m, d) rows of p.
+    The row norms are what `np.linalg.norm` computes for real rows."""
+    xn = np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+    pn = np.sqrt(np.add.reduce(p * p, axis=-1, keepdims=True))
     return (x @ p.T) / (xn * pn.T + 1e-8)
 
 

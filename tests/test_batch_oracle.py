@@ -521,25 +521,35 @@ def test_batched_predict_matches_per_clip(setting, ratio):
 
 @pytest.mark.parametrize("setting", ["1", "full"])
 def test_sweeps_match_per_clip_sweeps(setting, monkeypatch):
-    """257 clips cross one chunk boundary: each sweep setting is one 256-clip
-    and one 1-clip `predict` call, and every row equals the per-clip sweep."""
+    """257 clips cross one chunk boundary: each gap of the tau sweep is one
+    256-clip and one 1-clip `predict` call; the ratio sweep encodes each
+    chunk once for all its ratios and calls no `predict`. Every row equals
+    the per-clip sweep."""
     model = make_model(setting, ratio=0.5)
     clips = make_clips(257, seed=19)
     ids = [f"c{i}" for i in range(len(clips))]
     want = oracle_tau_rows(model, clips, ids), oracle_ratio_rows(model, clips, ids)
-    sizes = []
-    predict = SgearModel.predict
+    sizes = {"predict": [], "encode_merge": []}
 
-    def counted(self, inputs, n_steps=0):
-        sizes.append(len(inputs))
-        return predict(self, inputs, n_steps=n_steps)
+    def counting(name):
+        original = getattr(SgearModel, name)
 
-    monkeypatch.setattr(SgearModel, "predict", counted)
+        def counted(self, inputs, **kwargs):
+            sizes[name].append(len(inputs))
+            return original(self, inputs, **kwargs)
+        return counted
+
+    for name in sizes:
+        monkeypatch.setattr(SgearModel, name, counting(name))
     saved = model.subset
-    got = (evaluate.eval_variable_tau(model, MANIFEST, clips, TAUS, ids),
-           evaluate.prototype_ratio_sweep(model, clips, RATIOS, ids))
-    assert got == want
-    assert sizes == [256, 1] * (len(TAUS) + len(RATIOS))
+    tau_rows = evaluate.eval_variable_tau(model, MANIFEST, clips, TAUS, ids)
+    assert sizes == {"predict": [256, 1] * len(TAUS),
+                     "encode_merge": [256, 1] * len(TAUS)}
+    for calls in sizes.values():
+        calls.clear()
+    ratio_rows = evaluate.prototype_ratio_sweep(model, clips, RATIOS, ids)
+    assert sizes == {"predict": [], "encode_merge": [256, 1]}
+    assert (tau_rows, ratio_rows) == want
     assert model.subset is saved
 
 

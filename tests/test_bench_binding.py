@@ -1,8 +1,8 @@
 """The benchmark under perfbench/ still binds to the package: every entry
 point its tracer wraps exists, its node-counting pass reads the loss and the
 head's output it expects, its gradcheck workload builds and runs one probe,
-its eval workload times one clip per `predict` call, and the checkpoint calls
-it makes keep their forms. A change in src/ that would break the benchmark
+its eval workload times one clip per `predict` call and one rollout per tau
+sweep chunk, and the checkpoint calls it makes keep their forms. A change in src/ that would break the benchmark
 fails here first."""
 
 import importlib
@@ -81,6 +81,33 @@ def test_eval_clock_records_one_latency_per_clip(perfbench):
     assert [p.scores.shape for p in preds] == [(k,)] * len(clips)
     assert len(work.latency_ms) == len(clips)
     assert all(ms > 0 for ms in work.latency_ms)
+
+
+def test_eval_clock_records_one_rollout_time_per_chunk(perfbench):
+    """`--trace 1` reports the median of the eval workload's `rollout_ms`:
+    its `_clock` times each `predict` call of the tau sweep at the largest
+    gap's step count, one per sweep chunk. A sweep that stopped calling
+    `predict` with that step count would leave it empty."""
+    tracer, workloads = perfbench
+    k, frames, d = workloads.K, workloads.FRAMES, workloads.D
+    language = ProtoStore(kind="language", tensor=Tensor(
+        dataio.language_prototypes_from_cooccurrence(np.full((k, k), 1.0 / k), d)))
+    model = workloads.tiny_model(k, frames, d, language)
+    rng = np.random.default_rng(3)
+    clips = [(rng.normal(size=(frames, workloads.TOKENS, d)), i % k, None)
+             for i in range(evaluate.SWEEP_CHUNK + 1)]
+    manifest = dataio.DatasetManifest(
+        num_classes=k, class_names=[str(i) for i in range(k)],
+        tau_o=float(frames), tau_a=1.0, fps=1.0)
+    work = workloads.EvalWorkload(3)
+    # as the workload's set-up computes it
+    work.rollout_steps = round((workloads.TAUS[-1] - manifest.tau_a) * manifest.fps)
+    with tracer.patched(SgearModel, "predict", work._clock):
+        rows = evaluate.eval_variable_tau(model, manifest, clips, workloads.TAUS,
+                                          metric=evaluate.topk_accuracy)
+    assert rows[-1]["n_steps"] == work.rollout_steps > 0
+    assert len(work.rollout_ms) == 2 and work.latency_ms == []
+    assert work.layer_extras()["evaluate.rollout_ms_p50"] > 0
 
 
 def test_eval_workload_checkpoint_calls(perfbench, tmp_path):

@@ -130,6 +130,23 @@ class TestMarkov:
         seq = dataio.markov_sequence(np.eye(4), 10, rng, start=2)
         assert seq == [2] * 10
 
+    def test_same_stream_as_choice(self):
+        """Each step draws what `rng.choice(k, p=row)` drew, and leaves the
+        generator in the same state."""
+        def by_choice(graph, length, rng):
+            seq = [int(rng.integers(len(graph)))]
+            for _ in range(length - 1):
+                seq.append(int(rng.choice(len(graph), p=graph[seq[-1]])))
+            return seq
+
+        graphs = [np.full((5, 5), 0.2), np.eye(3),
+                  np.random.default_rng(1).dirichlet(np.full(9, 0.3), size=9)]
+        for graph in graphs:
+            a, b = np.random.default_rng(4), np.random.default_rng(4)
+            for _ in range(300):
+                assert dataio.markov_sequence(graph, 9, a) == by_choice(graph, 9, b)
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_uniform_transition_counts(self):
         rng = np.random.default_rng(3)
         graph = np.full((4, 4), 0.25)
@@ -164,6 +181,14 @@ class TestSyntheticDataset:
     def test_rejects_non_stochastic_graph(self, tmp_path):
         graph = np.full((3, 3), 0.5)
         with pytest.raises(DataError, match="row 0"):
+            dataio.generate_synthetic_dataset(tmp_path, 3, 2, 4, 1, graph, seed=0)
+
+    @pytest.mark.parametrize("row,bad", [(0, [1.5, -0.5, 0.0]),
+                                         (1, [np.nan, 0.5, 0.5])])
+    def test_rejects_negative_or_nan_entry(self, tmp_path, row, bad):
+        graph = np.eye(3)
+        graph[row] = bad
+        with pytest.raises(DataError, match=f"row {row} has a negative or NaN"):
             dataio.generate_synthetic_dataset(tmp_path, 3, 2, 4, 1, graph, seed=0)
 
     def test_identity_graph_target_repeats(self, tmp_path):

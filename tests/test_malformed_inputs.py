@@ -103,6 +103,9 @@ MANIFEST_CASES = [
     ("fps-nan", set_key(0, "fps", float("nan")), 1),
     ("fps-zero", set_key(0, "fps", 0), 1),
     ("fps-negative", set_key(0, "fps", -3.0), 1),
+    # clip ids are unique strings
+    ("clip-id-repeated", set_key(3, "clip_id", "clip_00000"), 4),
+    ("clip-id-int", set_key(2, "clip_id", 7), 3),
 ]
 
 PREDICTION_CASES = [
@@ -129,6 +132,12 @@ PREDICTION_CASES = [
     ("scores-too-short", edit_line(2, lambda o: {**o, "scores": o["scores"][:-1]}), 3),
     ("scores-nan", edit_line(2, lambda o: {**o, "scores": [float("nan")] + o["scores"][1:]}), 3),
     ("scores-bool", set_key(2, "scores", [True, False, False, False]), 3),
+    ("score-negative", set_key(2, "scores", [1.5, -0.25, -0.25, 0.0]), 3),
+    # clip ids are unique strings
+    ("clip-id-list", set_key(2, "clip_id", ["clip_00001"]), 3),
+    ("clip-id-int", set_key(2, "clip_id", 1), 3),
+    ("clip-id-null", set_key(2, "clip_id", None), 3),
+    ("clip-id-repeated", set_key(3, "clip_id", "clip_00000"), 4),
 ]
 
 
